@@ -1,16 +1,15 @@
 #include "flow/batchflow.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
 
+#include "flow/indexed.hpp"
 #include "flow/json.hpp"
 #include "flow/pipeline.hpp"
 #include "stg/builders.hpp"
 #include "stg/parse.hpp"
 #include "util/strings.hpp"
-#include "util/workpool.hpp"
 
 namespace rtcad {
 namespace {
@@ -76,29 +75,24 @@ BatchResult run_batch(const std::vector<BatchSpec>& corpus,
 BatchResult run_batch(const std::vector<BatchSpec>& corpus,
                       const FlowContext& ctx) {
   const auto start = std::chrono::steady_clock::now();
-  BatchResult result;
-  result.items.resize(corpus.size());
-
-  const std::size_t requested = static_cast<std::size_t>(
-      WorkPool::effective_threads(ctx.budget.corpus));
-  const std::size_t workers = std::max<std::size_t>(
-      1, std::min(requested, corpus.size()));
-
-  // Work-stealing by atomic cursor (WorkPool::for_each_index): items are
-  // claimed in corpus order and written to their own slot, so aggregation
-  // is independent of scheduling.
-  WorkPool pool(static_cast<int>(workers));
-  pool.for_each_index(corpus.size(), [&corpus, &result, &ctx](std::size_t i) {
-    result.items[i] = run_batch_item(corpus[i], ctx);
+  std::vector<BatchItemResult> items(corpus.size());
+  run_indexed(corpus.size(), ctx, [&](std::size_t i) {
+    items[i] = run_batch_item(corpus[i], ctx);
   });
+  BatchResult result = tally_batch(std::move(items));
+  result.wall_ms = ms_since(start);
+  return result;
+}
 
+BatchResult tally_batch(std::vector<BatchItemResult> items) {
+  BatchResult result;
+  result.items = std::move(items);
   for (const auto& item : result.items) {
     if (item.ok)
       ++result.ok_count;
     else
       ++result.failed_count;
   }
-  result.wall_ms = ms_since(start);
   return result;
 }
 

@@ -111,6 +111,11 @@ BatchResult run_batch(const std::vector<BatchSpec>& corpus,
 BatchResult run_batch(const std::vector<BatchSpec>& corpus,
                       const FlowContext& ctx);
 
+/// Wrap corpus-ordered item results into a BatchResult with its ok/failed
+/// counts (wall_ms stays 0) — shared by every path that produces a batch:
+/// run_batch, run_batch_cached and merge_shards.
+BatchResult tally_batch(std::vector<BatchItemResult> items);
+
 /// Run ONE corpus entry through the staged pipeline under `ctx` — the
 /// per-item kernel of run_batch, exported for drivers that interleave
 /// their own bookkeeping between items: the result cache

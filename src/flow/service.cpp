@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -11,6 +12,7 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -69,8 +71,9 @@ struct FlowService::Impl {
   std::vector<Listener> listeners;
   std::vector<std::thread> acceptors;
   int bound_tcp_port = 0;
-  std::vector<std::thread> handlers;
   mutable std::mutex mu;
+  std::vector<std::thread> handlers;      // connection threads not yet joined
+  std::vector<std::thread::id> finished;  // handlers done, awaiting join
   std::condition_variable cv;
   bool started = false;
   bool stopping = false;
@@ -95,14 +98,6 @@ struct FlowService::Impl {
       registry.gauge("serve.active_flows").set(active_flows);
     }
     cv.notify_all();
-  }
-
-  void track_fd(int fd, bool add) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (add)
-      open_fds.insert(fd);
-    else
-      open_fds.erase(fd);
   }
 
   void track_token(const CancelToken* t, bool add) {
@@ -211,12 +206,12 @@ struct FlowService::Impl {
       return true;
     }
     if (word == "max-states") {
-      const long long n = std::atoll(val.c_str());
-      if (n < 1) {
-        protocol_error("max-states must be >= 1");
+      const auto n = parse_int<std::size_t>(val, 1);
+      if (!n) {
+        protocol_error("max-states must be a number >= 1");
         return false;
       }
-      req->max_states = static_cast<std::size_t>(n);
+      req->max_states = *n;
       return true;
     }
     if (word == "to") {
@@ -235,13 +230,13 @@ struct FlowService::Impl {
   bool read_spec_payload(
       SocketReader* in, const std::string& val, SubmitRequest* req,
       const std::function<void(const std::string&)>& protocol_error) {
-    const long long n = std::atoll(val.c_str());
-    if (n < 0 || static_cast<std::size_t>(n) > opts.max_spec_bytes) {
+    const auto n = parse_int<std::size_t>(val, 0, opts.max_spec_bytes);
+    if (!n) {
       protocol_error(
           strprintf("spec size out of range (max %zu)", opts.max_spec_bytes));
       return false;
     }
-    if (!in->read_exact(&req->spec_text, static_cast<std::size_t>(n))) {
+    if (!in->read_exact(&req->spec_text, *n)) {
       protocol_error("connection closed inside spec payload");
       return false;
     }
@@ -384,12 +379,12 @@ struct FlowService::Impl {
       const std::string val =
           sp == std::string::npos ? "" : line.substr(sp + 1);
       if (word == "deadline-ms") {
-        const long long n = std::atoll(val.c_str());
-        if (n < 0 || (n == 0 && val != "0")) {
+        const auto n = parse_int<long>(val, 0);
+        if (!n) {
           protocol_error("deadline-ms must be a number >= 0");
           return;
         }
-        req.deadline_ms = static_cast<long>(n);
+        req.deadline_ms = *n;
       } else if (word == "cache") {
         if (val != "on" && val != "off") {
           protocol_error("cache must be on|off");
@@ -468,12 +463,12 @@ struct FlowService::Impl {
         }
         use_cache = val == "on";
       } else if (word == "deadline-ms") {
-        const long long n = std::atoll(val.c_str());
-        if (n < 0 || (n == 0 && val != "0")) {
+        const auto n = parse_int<long>(val, 0);
+        if (!n) {
           protocol_error("deadline-ms must be a number >= 0");
           return;
         }
-        deadline_ms = static_cast<long>(n);
+        deadline_ms = *n;
       } else if (word == "item") {
         if (!items.empty() && !current_has_spec) {
           protocol_error("item '" + items.back().name +
@@ -554,24 +549,55 @@ struct FlowService::Impl {
     say("done");
   }
 
+  /// Each connection runs on its own thread. A finished handler is
+  /// joined at the next accept, so its stack is released instead of
+  /// being held until stop(). The fd is registered under `mu` before the
+  /// thread exists, so a stop() racing this accept still shuts it down.
   void accept_loop(Listener* listener) {
     for (;;) {
       const int fd = listener->accept_connection();
       if (fd < 0) return;  // listener shut down: drain out
+      std::vector<std::thread> done;
       {
         std::lock_guard<std::mutex> lock(mu);
         if (stopping) {
           close_fd(fd);
           return;
         }
-        handlers.emplace_back([this, fd] {
-          track_fd(fd, true);
-          handle_connection(fd);
-          track_fd(fd, false);
+        done = take_finished();
+        open_fds.insert(fd);
+        try {
+          handlers.emplace_back([this, fd] {
+            handle_connection(fd);
+            std::lock_guard<std::mutex> lock(mu);
+            open_fds.erase(fd);
+            close_fd(fd);
+            finished.push_back(std::this_thread::get_id());
+          });
+        } catch (const std::system_error&) {
+          // No thread to serve it (resource exhaustion): drop this
+          // connection, keep accepting.
+          open_fds.erase(fd);
           close_fd(fd);
-        });
+        }
       }
+      for (std::thread& t : done) t.join();
     }
+  }
+
+  /// Move the finished handlers out of `handlers`. Requires `mu`.
+  std::vector<std::thread> take_finished() {
+    std::vector<std::thread> done;
+    for (const std::thread::id id : finished) {
+      const auto it =
+          std::find_if(handlers.begin(), handlers.end(),
+                       [id](const std::thread& t) { return t.get_id() == id; });
+      if (it == handlers.end()) continue;
+      done.push_back(std::move(*it));
+      handlers.erase(it);
+    }
+    finished.clear();
+    return done;
   }
 };
 
@@ -676,8 +702,11 @@ void FlowService::stop() {
     std::lock_guard<std::mutex> lock(im.mu);
     handlers.swap(im.handlers);
   }
-  for (std::thread& t : handlers)
-    if (t.joinable()) t.join();
+  for (std::thread& t : handlers) t.join();
+  {
+    std::lock_guard<std::mutex> lock(im.mu);
+    im.finished.clear();
+  }
   im.listeners.clear();  // unlinks the Unix socket path
 }
 
@@ -766,9 +795,8 @@ SubmitResult serve_submit(
     } else if (starts_with(line, "stage ")) {
       out.stage_lines.push_back(line.substr(6));
     } else if (starts_with(line, "record ")) {
-      const long long n = std::atoll(line.c_str() + 7);
-      if (n < 0 || !in.read_exact(&out.record_json,
-                                  static_cast<std::size_t>(n))) {
+      const auto n = parse_int<std::size_t>(line.substr(7));
+      if (!n || !in.read_exact(&out.record_json, *n)) {
         out.error = "truncated record payload";
         out.transport_failure = true;
         break;
@@ -853,10 +881,9 @@ BatchSubmitResult serve_submit_batch(
               ? std::string()
               : line.substr(cache_pos + std::string(" cache ").size()));
     } else if (starts_with(line, "record ")) {
-      const long long n = std::atoll(line.c_str() + 7);
+      const auto n = parse_int<std::size_t>(line.substr(7));
       std::string record;
-      if (n < 0 ||
-          !in.read_exact(&record, static_cast<std::size_t>(n))) {
+      if (!n || !in.read_exact(&record, *n)) {
         out.error = "truncated record payload";
         out.transport_failure = true;
         break;
@@ -929,9 +956,9 @@ std::string serve_metrics(const Endpoint& endpoint) {
     close_fd(fd);
     throw Error("server did not frame a metrics payload");
   }
-  const long long n = std::atoll(line.c_str() + 8);
+  const auto n = parse_int<std::size_t>(line.substr(8));
   std::string payload;
-  if (n < 0 || !in.read_exact(&payload, static_cast<std::size_t>(n))) {
+  if (!n || !in.read_exact(&payload, *n)) {
     close_fd(fd);
     throw Error("truncated metrics payload");
   }

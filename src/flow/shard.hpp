@@ -3,10 +3,10 @@
 //
 // The protocol is deliberately dumb: every process computes the SAME
 // corpus (same flags, same file order), shard i of N runs the items whose
-// corpus index ≡ i (mod N), and writes a versioned shard file — canonical
-// JSON, `"schema": 1`, per-item records keyed by corpus index, where each
-// record is byte-for-byte the object the single-process batch JSON would
-// contain. `merge_shards` then reassembles N shard files into a
+// corpus index ≡ i (mod N), and writes a shard file in the shared
+// schema-1 envelope of flow/indexed.hpp — per-item records keyed by
+// corpus index, where each record is byte-for-byte the object the
+// single-process batch JSON would contain. `merge_shards` then reassembles N shard files into a
 // BatchResult whose `to_json` rendering is byte-identical to running the
 // whole corpus in one process (CI proves this with a 3-shard diff job).
 //
@@ -22,46 +22,30 @@
 #include <vector>
 
 #include "flow/batchflow.hpp"
+#include "flow/indexed.hpp"
 
 namespace rtcad {
 
-/// Version of the shard-file schema this build reads and writes.
-inline constexpr int kShardSchema = 1;
-
 /// One finished corpus item, keyed by its index in the full corpus.
-struct ShardItem {
-  std::size_t index = 0;
-  BatchItemResult item;
-};
+using ShardItem = IndexedRecord<BatchItemResult>;
 
-/// One shard's worth of results: items at corpus indices ≡ shard (mod of),
-/// in increasing index order.
-struct ShardRun {
-  std::size_t shard = 0;   ///< this shard's id, in [0, of)
-  std::size_t of = 1;      ///< total number of shards
-  std::size_t corpus = 0;  ///< FULL corpus size (across all shards)
-  /// corpus_fingerprint() of the full corpus this shard was cut from.
-  /// merge_shards requires every shard to agree, catching the classic
-  /// operator error: shards produced from different spec lists, a
-  /// different order, or different result-shaping flags.
-  std::string fingerprint;
-  std::vector<ShardItem> items;
-};
+/// One shard's worth of batch results (the shared envelope of
+/// flow/indexed.hpp with kind "shard"; `total` is the FULL corpus size).
+/// `fingerprint` is corpus_fingerprint() of the full corpus: merge_shards
+/// requires every shard to agree, catching the classic operator error of
+/// shards produced from different spec lists, a different order, or
+/// different result-shaping flags.
+using ShardRun = IndexedShard<BatchItemResult>;
 
 /// Order-sensitive fingerprint of a corpus and its result-shaping options
-/// (item names, per-item mode, reachability cap) as 16 hex digits.
-/// Thread settings are deliberately excluded — results are byte-identical
-/// across them, so shards may legitimately run at different mixtures.
+/// (item names, per-item mode, reachability cap, stop point) as 16 hex
+/// digits. Thread settings are deliberately excluded — results are
+/// byte-identical across them, so shards may run at different mixtures.
 std::string corpus_fingerprint(const std::vector<BatchSpec>& corpus);
 
-/// The corpus indices shard `shard` of `of` owns: shard, shard + of, ...
-/// Round-robin (not contiguous blocks) so every shard gets a mix of cheap
-/// and expensive specs regardless of corpus ordering.
-std::vector<std::size_t> shard_indices(std::size_t corpus, std::size_t shard,
-                                       std::size_t of);
-
 /// Run this shard's slice of `corpus` under `ctx` (same batch engine,
-/// same determinism). Requires of >= 1 and shard < of.
+/// same determinism). Requires of >= 1 and shard < of. Equivalent to
+/// run_shard_resume with no partial, no checkpoint and no hook.
 ShardRun run_shard(const std::vector<BatchSpec>& corpus, std::size_t shard,
                    std::size_t of, const FlowContext& ctx = {});
 
@@ -90,15 +74,17 @@ ShardRun run_shard_resume(
     const std::string& checkpoint_path = "",
     const std::function<void(std::size_t computed)>& on_item = {});
 
-/// Canonical shard-file JSON: stable key order, '\n'-terminated, no
-/// timings — byte-identical across runs and thread counts, like the batch
-/// JSON it embeds.
+/// Canonical shard-file JSON: the shared envelope with kind "shard",
+/// total key "corpus" and the extras "ok"/"failed". Stable key order,
+/// '\n'-terminated, no timings — byte-identical across runs and thread
+/// counts, like the batch JSON it embeds.
 std::string to_shard_json(const ShardRun& run);
 
-/// Strict parse of a shard file. Throws rtcad::Error with a position on
-/// malformed JSON, a schema version this build does not speak, or missing/
-/// mistyped fields.
+/// Strict parse of a shard file (text, or an already parsed document).
+/// Throws rtcad::Error with a position on malformed JSON, a schema
+/// version this build does not speak, or missing/mistyped fields.
 ShardRun parse_shard_json(const std::string& text);
+ShardRun shard_run_of_json(const Json& root);
 
 /// Strict parse of ONE item record — the single-line object
 /// `item_record_json` emits. The parse/render pair is a proven byte
@@ -107,12 +93,10 @@ ShardRun parse_shard_json(const std::string& text);
 /// malformed or mistyped input.
 BatchItemResult parse_item_record_json(const std::string& text);
 
-/// Reassemble shard files into the single-process batch result. Validates
-/// the set is complete and consistent — same `of` and corpus size
-/// everywhere, shard ids exactly {0..of-1}, every shard holding exactly
-/// the indices it owns — and throws rtcad::Error naming the first
-/// violation. `to_json(merge_shards(...))` is byte-identical to
-/// `to_json(run_batch(corpus))`.
+/// Reassemble shard files into the single-process batch result through
+/// the shared shard-set validator (check_shard_set), which throws
+/// rtcad::Error naming the first violation. `to_json(merge_shards(...))`
+/// is byte-identical to `to_json(run_batch(corpus))`.
 BatchResult merge_shards(const std::vector<ShardRun>& shards);
 
 }  // namespace rtcad

@@ -13,11 +13,11 @@
 //   * environment variants — phase offsets of the protocol environment
 //                         (sim/stgenv seeds and input-delay windows).
 //
-// Every variant is one unit of work claimed via WorkPool::for_each_index
-// and written to its own slot, so the aggregated SweepReport — coverage,
-// the undetected-fault list, the delay windows that break an RT
-// assumption, and the per-variant outcome records — is byte-identical at
-// any thread count. A sweep can also be cut into shards (variant index ≡
+// Every variant is one unit of work on the indexed-work engine
+// (flow/indexed.hpp), written to its own slot, so the aggregated
+// SweepReport — coverage, the undetected-fault list, the delay windows
+// that break an RT assumption, and the per-variant outcome records — is
+// byte-identical at any thread count. A sweep can also be cut into shards (variant index ≡
 // shard mod of, the batch shard convention) whose merge is byte-identical
 // to the single-process report; `specs/golden_sweep.json` pins the
 // artifact in CI.
@@ -30,12 +30,14 @@
 
 #include "dft/faultsim.hpp"
 #include "flow/context.hpp"
+#include "flow/indexed.hpp"
 #include "flow/rtflow.hpp"
 #include "timed/timedreduce.hpp"
 
 namespace rtcad {
 
-/// Version of the sweep and sweep-shard schemas this build reads/writes.
+/// Version of the sweep report schema this build writes. Sweep shards use
+/// the shared envelope, kShardSchema.
 inline constexpr int kSweepSchema = 1;
 
 struct SweepOptions {
@@ -123,27 +125,23 @@ struct SweepReport {
   }
 };
 
-/// One shard's worth of a sweep: outcomes at variant indices ≡ shard
-/// (mod of), in increasing index order, plus the header every shard of
-/// the same sweep must agree on.
-struct SweepShardItem {
-  std::size_t index = 0;
-  SweepOutcome outcome;
-};
-
-struct SweepShard {
-  std::size_t shard = 0;
-  std::size_t of = 1;
-  std::size_t variants = 0;  ///< total variant count of the full sweep
-  std::string fingerprint;
+/// The base scenario every variant of a sweep shares — the sweep shard's
+/// header extras: spec, mode, the swept netlist's size, the stressed
+/// constraints and the fault-free golden run.
+struct SweepBase {
   std::string spec;
   std::string mode;
   int nets = 0;
   long long constraints = 0;
   long long golden_cycles = 0;
   bool golden_ok = false;
-  std::vector<SweepShardItem> items;
 };
+
+/// One shard's worth of a sweep (the shared envelope of flow/indexed.hpp
+/// with kind "sweep-shard"; `total` is the variant count of the full
+/// sweep): outcomes at variant indices ≡ shard (mod of), in increasing
+/// index order, plus the base every shard of the same sweep must share.
+using SweepShard = IndexedShard<SweepOutcome, SweepBase>;
 
 /// Identity of a sweep: FNV-1a over the spec name and every
 /// report-shaping option. Shards from different specs, grids or flags
@@ -155,7 +153,8 @@ std::string sweep_fingerprint(const std::string& name,
 /// worker count; the graph level applies to the one state-graph build.
 /// Throws (SpecError & friends) when the flow itself fails, or Error when
 /// the fault-free protocol run makes no progress — a sweep of a
-/// non-working base scenario would be meaningless.
+/// non-working base scenario would be meaningless. The report is the
+/// merge of the one-shard sweep (shard 0 of 1).
 SweepReport run_sweep(const std::string& name, const Stg& spec,
                       const SweepOptions& opts = {},
                       const FlowContext& ctx = {});
@@ -173,15 +172,14 @@ SweepShard run_sweep_shard(const std::string& name, const Stg& spec,
 std::string to_sweep_json(const SweepReport& report);
 std::string to_sweep_shard_json(const SweepShard& shard);
 
-/// True iff `text` parses as JSON whose "kind" is "sweep-shard" — the
-/// merge CLI's dispatch between batch shards and sweep shards.
-bool is_sweep_shard_json(const std::string& text);
-
+/// Strict parse of a sweep shard file (text, or an already parsed
+/// document).
 SweepShard parse_sweep_shard_json(const std::string& text);
+SweepShard sweep_shard_of_json(const Json& root);
 
 /// Reassemble a complete shard set into the report the single-process
 /// sweep would produce (byte-identical through to_sweep_json). Throws on
-/// incomplete, duplicated or mismatched shard sets.
+/// incomplete, duplicated or mismatched shard sets (check_shard_set).
 SweepReport merge_sweep_shards(const std::vector<SweepShard>& shards);
 
 }  // namespace rtcad

@@ -10,8 +10,8 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <thread>
 
 #include "util/check.hpp"
@@ -90,17 +90,13 @@ Endpoint parse_tcp_endpoint(const std::string& spec) {
   std::string port_text = spec.substr(colon + 1);
   if (host.size() >= 2 && host.front() == '[' && host.back() == ']')
     host = host.substr(1, host.size() - 2);
-  if (port_text.empty() ||
-      port_text.find_first_not_of("0123456789") != std::string::npos) {
-    throw Error(strprintf("bad TCP endpoint '%s': port '%s' is not a number",
-                          spec.c_str(), port_text.c_str()));
+  const std::optional<int> port = parse_int<int>(port_text, 0, 65535);
+  if (!port) {
+    throw Error(strprintf(
+        "bad TCP endpoint '%s': port '%s' is not a number in 0..65535",
+        spec.c_str(), port_text.c_str()));
   }
-  long port = std::strtol(port_text.c_str(), nullptr, 10);
-  if (port < 0 || port > 65535) {
-    throw Error(strprintf("bad TCP endpoint '%s': port %ld out of range 0..65535",
-                          spec.c_str(), port));
-  }
-  return Endpoint::tcp(std::move(host), static_cast<int>(port));
+  return Endpoint::tcp(std::move(host), *port);
 }
 
 Listener::Listener(Listener&& other) noexcept

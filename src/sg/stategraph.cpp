@@ -27,9 +27,9 @@ struct StateGraph::PoolHandle {
 
 namespace {
 
-// Below this many edges the parallel post-exploration passes fall back to
-// the sequential loops: the sweeps are pure array walks, so tiny graphs
-// would spend more on work distribution than on the work.
+// Below this many edges the parallel excitation sweep falls back to the
+// sequential loop: the sweep is a pure array walk, so tiny graphs would
+// spend more on work distribution than on the work.
 constexpr int kMinParallelEdges = 1 << 15;
 
 // Open-addressed, linear-probe visited table for the reachability hot path.
@@ -318,7 +318,7 @@ StateGraph StateGraph::build(const Stg& stg, const SgOptions& opts) {
   for (std::size_t i = 0; i < sg.states_.size(); ++i)
     sg.states_[i].code = v0_value ^ parity[i];
 
-  sg.build_reverse_csr(threads, &pool);
+  sg.build_reverse_csr();
   sg.compute_excitation(threads, &pool);
   return sg;
 }
@@ -565,68 +565,12 @@ void StateGraph::explore_parallel(const SgOptions& opts, int threads,
   out_row_.push_back(static_cast<int>(edge_transition_.size()));
 }
 
-void StateGraph::build_reverse_csr(int threads, PoolHandle* pool,
-                                   bool force_parallel) {
+void StateGraph::build_reverse_csr() {
   const int n = num_states();
   const int m = num_edges();
   in_row_.assign(n + 1, 0);
   in_transition_.resize(m);
   in_source_.resize(m);
-
-  if (threads > 1 && pool && (force_parallel || m >= kMinParallelEdges)) {
-    // Parallel transpose, byte-identical to the sequential counting sort:
-    // (1) chunked atomic in-degree count, (2) sequential prefix sum,
-    // (3) chunked scatter of (edge id, source) through per-target atomic
-    // cursors, (4) per-target sort by edge id — the scatter order of the
-    // sequential pass is exactly ascending edge id, so sorting each target
-    // bucket restores it no matter how the chunks interleaved.
-    WorkPool& wp = pool->get();
-    const ChunkPlan chunks = plan_chunks(static_cast<std::size_t>(n), threads);
-    std::vector<std::atomic<int>> cnt(static_cast<std::size_t>(n));
-    wp.for_each_index(chunks.num_chunks, [&](std::size_t c) {
-      const std::size_t end = chunks.end(c);
-      for (std::size_t s = chunks.begin(c); s < end; ++s) {
-        for (int e = out_row_[s]; e < out_row_[s + 1]; ++e)
-          cnt[static_cast<std::size_t>(edge_successor_[e])].fetch_add(
-              1, std::memory_order_relaxed);
-      }
-    });
-    for (int s = 0; s < n; ++s)
-      in_row_[s + 1] =
-          in_row_[s] + cnt[static_cast<std::size_t>(s)].load(
-                           std::memory_order_relaxed);
-    for (int s = 0; s < n; ++s)
-      cnt[static_cast<std::size_t>(s)].store(in_row_[s],
-                                             std::memory_order_relaxed);
-    // Pack (edge id << 32 | source): sorting a bucket ascending sorts by
-    // edge id (unique), and both halves unpack without a second array.
-    std::vector<std::uint64_t> packed(static_cast<std::size_t>(m));
-    wp.for_each_index(chunks.num_chunks, [&](std::size_t c) {
-      const std::size_t end = chunks.end(c);
-      for (std::size_t s = chunks.begin(c); s < end; ++s) {
-        for (int e = out_row_[s]; e < out_row_[s + 1]; ++e) {
-          const int slot =
-              cnt[static_cast<std::size_t>(edge_successor_[e])].fetch_add(
-                  1, std::memory_order_relaxed);
-          packed[static_cast<std::size_t>(slot)] =
-              (static_cast<std::uint64_t>(e) << 32) |
-              static_cast<std::uint32_t>(s);
-        }
-      }
-    });
-    wp.for_each_index(chunks.num_chunks, [&](std::size_t c) {
-      const std::size_t end = chunks.end(c);
-      for (std::size_t s = chunks.begin(c); s < end; ++s) {
-        std::sort(packed.begin() + in_row_[s], packed.begin() + in_row_[s + 1]);
-        for (int k = in_row_[s]; k < in_row_[s + 1]; ++k) {
-          const std::uint64_t p = packed[static_cast<std::size_t>(k)];
-          in_transition_[k] = edge_transition_[p >> 32];
-          in_source_[k] = static_cast<int>(p & 0xffffffff);
-        }
-      }
-    });
-    return;
-  }
 
   // Transpose by counting sort: one pass to count in-degrees, a prefix sum,
   // one pass to scatter. Entries for a given target state keep CSR order of
@@ -711,11 +655,7 @@ void StateGraph::compute_excitation(int threads, PoolHandle* pool,
   }
 }
 
-void StateGraph::rebuild_reverse_csr(int threads) {
-  const int t = WorkPool::effective_threads(threads);
-  PoolHandle pool{t, std::nullopt};
-  build_reverse_csr(t, t > 1 ? &pool : nullptr, /*force_parallel=*/t > 1);
-}
+void StateGraph::rebuild_reverse_csr(int /*threads*/) { build_reverse_csr(); }
 
 void StateGraph::recompute_excitation(int threads) {
   const int t = WorkPool::effective_threads(threads);
@@ -764,7 +704,7 @@ StateGraph StateGraph::filtered(
     out.states_.push_back(states_[old_s]);
     out.old_state_.push_back(old_state_of(old_s));
   }
-  out.build_reverse_csr(1, nullptr);
+  out.build_reverse_csr();
   out.compute_excitation(1, nullptr);
   return out;
 }

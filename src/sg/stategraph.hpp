@@ -243,16 +243,21 @@ class StateGraph {
                sizeof(std::uint64_t);
   }
 
-  /// Recompute the derived structures in place on `threads` workers —
-  /// build() already runs both; public so benches and differential tests
-  /// can time and cross-check the parallel passes in isolation. Results are
-  /// byte-identical at any thread count: the transpose restores the exact
-  /// sequential per-target source order, and the excitation sweep writes
-  /// each state's masks from that state's own edges only (the silent-ε
-  /// closure stays sequential). Unlike build() — which falls back to the
-  /// sequential loops below a size floor — an explicit width here is
-  /// honored on any graph, so differentials can drive the parallel path on
-  /// small inputs.
+  /// Recompute the derived structures in place — build() already runs
+  /// both; public so benches and differential tests can time and
+  /// cross-check the passes in isolation.
+  ///
+  /// rebuild_reverse_csr: the transpose is one sequential counting sort;
+  /// `threads` no longer changes the algorithm (a parallel scatter was
+  /// measured slower at every width and removed) and is kept so callers
+  /// that probe the pass at several widths keep compiling.
+  ///
+  /// recompute_excitation: the direct sweep runs on `threads` workers,
+  /// each state writing its masks from its own edges only (the silent-ε
+  /// closure stays sequential), so results are byte-identical at any
+  /// width. Unlike build() — which stays sequential below a size floor —
+  /// an explicit width here is honored on any graph, so differentials can
+  /// drive the parallel sweep on small inputs.
   void rebuild_reverse_csr(int threads = 1);
   void recompute_excitation(int threads = 1);
 
@@ -288,11 +293,11 @@ class StateGraph {
                         std::vector<std::uint64_t>* parity,
                         std::vector<signed char>* v0, PoolHandle* pool);
 
-  // With threads > 1 the passes chunk their sweeps across the shared pool;
-  // unless forced, inputs below a size floor fall back to the sequential
-  // loops (identical bytes, no distribution overhead on tiny graphs).
-  void build_reverse_csr(int threads, PoolHandle* pool,
-                         bool force_parallel = false);
+  // The transpose is sequential. With threads > 1 the excitation sweep
+  // chunks across the shared pool; unless forced, inputs below a size
+  // floor fall back to the sequential loop (identical bytes, no
+  // distribution overhead on tiny graphs).
+  void build_reverse_csr();
   void compute_excitation(int threads, PoolHandle* pool,
                           bool force_parallel = false);
 };

@@ -16,6 +16,7 @@
 // canonical golden-diffed JSON.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -57,7 +58,12 @@ class CancelToken {
   }
   /// Convenience: deadline `budget` from now.
   void set_timeout(std::chrono::milliseconds budget) {
-    set_deadline(std::chrono::steady_clock::now() + budget);
+    // Clamped so now() + budget cannot overflow the clock's tick count;
+    // a century is "no deadline" in practice.
+    constexpr std::chrono::milliseconds kMaxBudget =
+        std::chrono::hours(24 * 365 * 100);
+    set_deadline(std::chrono::steady_clock::now() +
+                 std::min(budget, kMaxBudget));
   }
 
   /// Has the token fired (explicitly or by deadline)? Latches: once true,

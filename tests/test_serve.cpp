@@ -4,9 +4,14 @@
 // control verbs, protocol-error containment, and concurrent submissions.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <thread>
 #include <vector>
 
@@ -177,6 +182,72 @@ TEST_F(ServeTest, ControlVerbsAndProtocolErrors) {
   EXPECT_EQ(serve_control(socket(), "ping"), "pong");
   EXPECT_EQ(service_->stats().protocol_errors, 1);
   EXPECT_TRUE(service_->running());
+}
+
+/// Send `request` verbatim on a fresh connection; return the first line
+/// after the protocol banner ("" when the daemon closed, or kept silent
+/// for 10 s — a daemon waiting for payload bytes a bad length promised).
+std::string raw_answer(const std::string& socket_path,
+                       const std::string& request) {
+  const int fd = connect_endpoint(Endpoint::unix_path(socket_path));
+  const timeval timeout{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  EXPECT_TRUE(send_all(fd, request.data(), request.size()));
+  SocketReader in(fd);
+  std::string banner, line;
+  if (!in.read_line(&banner) || !in.read_line(&line)) line.clear();
+  ::close(fd);
+  return line;
+}
+
+TEST_F(ServeTest, MalformedNumbersAreContainedErrors) {
+  start(/*with_cache=*/false);
+  const std::string spec = write_stg(celement_stg());
+  const std::string head = "rtflow-serve 1\nsubmit\n";
+  const std::string payload =
+      "spec " + std::to_string(spec.size()) + "\n" + spec + "\nrun\n";
+  // Trailing garbage, a 20-digit overflow and a sign are all refused —
+  // never read as a prefix or clamped.
+  const std::string requests[] = {
+      head + "max-states 12abc\n" + payload,
+      head + "max-states 99999999999999999999\n" + payload,
+      head + "deadline-ms 5x\n" + payload,
+      head + "deadline-ms -1\n" + payload,
+      head + "spec 5x\n",
+      head + "spec 99999999999999999999\n",
+      "rtflow-serve 1\nbatch\nitem a\nmax-states +7\n" + payload,
+  };
+  for (const std::string& request : requests) {
+    SCOPED_TRACE(request.substr(0, 40));
+    EXPECT_EQ(raw_answer(socket(), request).rfind("error ", 0), 0u);
+    EXPECT_EQ(serve_control(socket(), "ping"), "pong");
+  }
+  EXPECT_EQ(service_->stats().protocol_errors,
+            static_cast<long long>(std::size(requests)));
+  EXPECT_EQ(service_->stats().requests, 0) << "no flow ran";
+}
+
+/// Kilobytes of virtual memory this process has mapped.
+long long vm_size_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("VmSize:", 0) == 0) return std::atoll(line.c_str() + 7);
+  return -1;
+}
+
+/// Every connection runs on its own thread; a finished one must release
+/// its stack. Were finished threads kept until stop(), each would hold
+/// its 8 MiB stack mapping: 300 connections would add ~2.4 GB.
+TEST_F(ServeTest, FinishedConnectionsReleaseTheirThreads) {
+  start(/*with_cache=*/false);
+  ASSERT_EQ(serve_control(socket(), "ping"), "pong");  // warm up
+  const long long before = vm_size_kb();
+  ASSERT_GT(before, 0) << "no VmSize in /proc/self/status";
+  for (int i = 0; i < 300; ++i)
+    ASSERT_EQ(serve_control(socket(), "ping"), "pong") << "ping " << i;
+  const long long grown_kb = vm_size_kb() - before;
+  EXPECT_LT(grown_kb, 256LL * 1024) << "VmSize grew by " << grown_kb << " kB";
 }
 
 TEST_F(ServeTest, ShutdownVerbStopsTheDaemon) {

@@ -162,10 +162,10 @@ TEST(ParallelStateGraph, TokenBoundErrorIdenticalAcrossThreads) {
   EXPECT_EQ(e1, error_of(pump, t8));
 }
 
-// The post-exploration passes (reverse-CSR transpose, excitation sweep)
-// also parallelise; rerunning them at 8 workers on a graph big enough to
-// take the parallel path must reproduce the sequential bytes — including
-// the excitation masks, which identical_graphs compares and
+// The excitation sweep also parallelises (the transpose is sequential at
+// every width); rerunning both passes at 8 workers on a graph big enough
+// to take the parallel path must reproduce the sequential bytes —
+// including the excitation masks, which identical_graphs compares and
 // expect_identical does not.
 TEST(ParallelStateGraph, DerivedPassesIdenticalAt8Threads) {
   const Stg big = pipeline_stg(14);  // 139k edges: above the parallel floor

@@ -65,9 +65,7 @@ TEST(SweepDeterminism, ShardedMergeMatchesDirectRunBytes) {
     FlowContext ctx;
     ctx.budget.corpus = threads[id];
     const SweepShard s = run_sweep_shard("mmu", spec, id, 3, opts, ctx);
-    const std::string text = to_sweep_shard_json(s);
-    ASSERT_TRUE(is_sweep_shard_json(text));
-    shards.push_back(parse_sweep_shard_json(text));
+    shards.push_back(parse_sweep_shard_json(to_sweep_shard_json(s)));
   }
   EXPECT_EQ(to_sweep_json(merge_sweep_shards(shards)), direct);
 }
@@ -97,24 +95,6 @@ TEST(SweepDeterminism, ReportContentIsSane) {
             static_cast<std::size_t>(r.delay_broken));
   EXPECT_EQ(r.coverage_x100(),
             static_cast<int>((100LL * r.fault_detected) / r.fault_total));
-}
-
-TEST(SweepDeterminism, MergeRejectsBrokenShardSets) {
-  const Stg spec = mmu_spec();
-  SweepOptions opts = small_opts();
-  opts.faults = false;  // keep the error-path fixtures fast
-  opts.delay_variants = 6;
-  opts.env_variants = 3;
-  const SweepShard s0 = run_sweep_shard("mmu", spec, 0, 2, opts, {});
-  const SweepShard s1 = run_sweep_shard("mmu", spec, 1, 2, opts, {});
-
-  EXPECT_THROW(merge_sweep_shards({}), Error);
-  EXPECT_THROW(merge_sweep_shards({s0}), Error);          // incomplete
-  EXPECT_THROW(merge_sweep_shards({s0, s0}), Error);      // duplicate id
-  SweepShard other = s1;
-  other.fingerprint = "0000000000000000";                 // foreign sweep
-  EXPECT_THROW(merge_sweep_shards({s0, other}), Error);
-  ASSERT_NO_THROW(merge_sweep_shards({s1, s0}));          // order-free
 }
 
 }  // namespace

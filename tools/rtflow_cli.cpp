@@ -409,26 +409,17 @@ void print_command_usage(std::FILE* to, const char* argv0,
   }
 }
 
-/// Strict parse for thread-count options: 0 is a legal value (auto), so
-/// atoi's garbage-to-0 would silently accept typos.
-bool parse_thread_count(const char* val, int* out) {
-  char* end = nullptr;
-  const long n = std::strtol(val, &end, 10);
-  if (end == val || *end != '\0' || n < 0) return false;
-  *out = static_cast<int>(n);
-  return true;
-}
-
-/// Parse "--shard I/N".
+/// Parse "--shard I/N" with 0 <= I < N.
 bool parse_shard_spec(const char* val, std::size_t* shard, std::size_t* of) {
-  char* end = nullptr;
-  const long i = std::strtol(val, &end, 10);
-  if (end == val || *end != '/' || i < 0) return false;
-  const char* rest = end + 1;
-  const long n = std::strtol(rest, &end, 10);
-  if (end == rest || *end != '\0' || n < 1 || i >= n) return false;
-  *shard = static_cast<std::size_t>(i);
-  *of = static_cast<std::size_t>(n);
+  const std::string_view text = val;
+  const std::size_t slash = text.find('/');
+  if (slash == std::string_view::npos) return false;
+  const auto n = parse_int<std::size_t>(text.substr(slash + 1), 1);
+  if (!n) return false;
+  const auto i = parse_int<std::size_t>(text.substr(0, slash), 0, *n - 1);
+  if (!i) return false;
+  *shard = *i;
+  *of = *n;
   return true;
 }
 
@@ -478,6 +469,17 @@ bool parse_common_flag(int argc, char** argv, int* i, CliOptions* o,
     }
     return argv[++*i];
   };
+  // The flag's value as a strict integer >= lo of lo's type; nullopt
+  // (usage error reported) when missing, malformed or out of range.
+  const auto int_value = [&](auto lo) -> std::optional<decltype(lo)> {
+    const char* val = need_value();
+    if (!val) return std::nullopt;
+    if (const auto n = parse_int<decltype(lo)>(val, lo)) return n;
+    std::fprintf(stderr, "%s: %s must be a number >= %llu\n", argv[0], arg,
+                 static_cast<unsigned long long>(lo));
+    *usage_error = true;
+    return std::nullopt;
+  };
 
   if (!std::strcmp(arg, "--corpus")) {
     const char* kind = need_value();
@@ -492,13 +494,7 @@ bool parse_common_flag(int argc, char** argv, int* i, CliOptions* o,
     const char* file = need_value();
     if (file) o->spec_files.push_back(file);
   } else if (!std::strcmp(arg, "--pipeline-stages")) {
-    const char* val = need_value();
-    if (!val) return true;
-    o->pipeline_stages = std::atoi(val);
-    if (o->pipeline_stages < 1) {
-      std::fprintf(stderr, "%s: --pipeline-stages must be >= 1\n", argv[0]);
-      *usage_error = true;
-    }
+    if (const auto n = int_value(1)) o->pipeline_stages = *n;
   } else if (!std::strcmp(arg, "--mode")) {
     const char* mode = need_value();
     if (!mode) return true;
@@ -511,59 +507,19 @@ bool parse_common_flag(int argc, char** argv, int* i, CliOptions* o,
       *usage_error = true;
     }
   } else if (!std::strcmp(arg, "--max-states")) {
-    const char* val = need_value();
-    if (!val) return true;
-    const long n = std::atol(val);
-    if (n < 1) {
-      std::fprintf(stderr, "%s: --max-states must be >= 1\n", argv[0]);
-      *usage_error = true;
-      return true;
-    }
-    o->file_opts.sg.max_states = static_cast<std::size_t>(n);
+    if (const auto n = int_value(std::size_t{1}))
+      o->file_opts.sg.max_states = *n;
   } else if (!std::strcmp(arg, "--threads")) {
-    const char* val = need_value();
-    if (!val) return true;
-    const int n = std::atoi(val);
-    if (n < 1) {
-      std::fprintf(stderr, "%s: --threads must be >= 1\n", argv[0]);
-      *usage_error = true;
-      return true;
-    }
-    o->budget.corpus = n;
+    if (const auto n = int_value(1)) o->budget.corpus = *n;
   } else if (!std::strcmp(arg, "--sg-threads")) {
-    const char* val = need_value();
-    if (!val) return true;
-    int n = 0;
-    if (!parse_thread_count(val, &n)) {
-      std::fprintf(stderr, "%s: %s must be a number >= 0\n", argv[0], arg);
-      *usage_error = true;
-      return true;
-    }
-    o->budget.graph = n;
+    // 0 is a legal value (auto), so garbage must never read as 0.
+    if (const auto n = int_value(0)) o->budget.graph = *n;
   } else if (!std::strcmp(arg, "--csc-threads")) {
     // One knob for both per-candidate engines: the CSC trigger-pair
     // search and the ring-environment pending-age rounds.
-    const char* val = need_value();
-    if (!val) return true;
-    int n = 0;
-    if (!parse_thread_count(val, &n)) {
-      std::fprintf(stderr, "%s: %s must be a number >= 0\n", argv[0], arg);
-      *usage_error = true;
-      return true;
-    }
-    o->budget.candidate = n;
+    if (const auto n = int_value(0)) o->budget.candidate = *n;
   } else if (!std::strcmp(arg, "--deadline-ms")) {
-    const char* val = need_value();
-    if (!val) return true;
-    char* end = nullptr;
-    const long n = std::strtol(val, &end, 10);
-    if (end == val || *end != '\0' || n < 0) {
-      std::fprintf(stderr, "%s: --deadline-ms must be a number >= 0\n",
-                   argv[0]);
-      *usage_error = true;
-      return true;
-    }
-    o->deadline_ms = n;
+    if (const auto n = int_value(0L)) o->deadline_ms = *n;
   } else if (!std::strcmp(arg, "--shard")) {
     const char* val = need_value();
     if (!val) return true;
@@ -628,29 +584,12 @@ bool parse_common_flag(int argc, char** argv, int* i, CliOptions* o,
     }
     o->connect = val;
   } else if (!std::strcmp(arg, "--retries")) {
-    const char* val = need_value();
-    if (!val) return true;
-    char* end = nullptr;
-    const long n = std::strtol(val, &end, 10);
-    if (end == val || *end != '\0' || n < 0) {
-      std::fprintf(stderr, "%s: --retries must be a number >= 0\n", argv[0]);
-      *usage_error = true;
-      return true;
-    }
-    o->retries = static_cast<int>(n);
+    if (const auto n = int_value(0)) o->retries = *n;
   } else if (!std::strcmp(arg, "--max-bytes") ||
              !std::strcmp(arg, "--cache-max-bytes")) {
     const bool is_cap = !std::strcmp(arg, "--cache-max-bytes");
-    const char* val = need_value();
-    if (!val) return true;
-    char* end = nullptr;
-    const long long n = std::strtoll(val, &end, 10);
-    if (end == val || *end != '\0' || n < 0) {
-      std::fprintf(stderr, "%s: %s must be a number >= 0\n", argv[0], arg);
-      *usage_error = true;
-      return true;
-    }
-    (is_cap ? o->cache_max_bytes : o->max_bytes) = n;
+    if (const auto n = int_value(0LL))
+      (is_cap ? o->cache_max_bytes : o->max_bytes) = *n;
   } else if (!std::strcmp(arg, "--name")) {
     const char* val = need_value();
     if (val) o->submit_name = val;
@@ -659,39 +598,12 @@ bool parse_common_flag(int argc, char** argv, int* i, CliOptions* o,
   } else if (!std::strcmp(arg, "--delay-variants") ||
              !std::strcmp(arg, "--env-variants")) {
     const bool is_delay = !std::strcmp(arg, "--delay-variants");
-    const char* val = need_value();
-    if (!val) return true;
-    char* end = nullptr;
-    const long n = std::strtol(val, &end, 10);
-    if (end == val || *end != '\0' || n < 0) {
-      std::fprintf(stderr, "%s: %s must be a number >= 0\n", argv[0], arg);
-      *usage_error = true;
-      return true;
-    }
-    (is_delay ? o->sweep_delay_variants : o->sweep_env_variants) =
-        static_cast<int>(n);
+    if (const auto n = int_value(0))
+      (is_delay ? o->sweep_delay_variants : o->sweep_env_variants) = *n;
   } else if (!std::strcmp(arg, "--seed")) {
-    const char* val = need_value();
-    if (!val) return true;
-    char* end = nullptr;
-    const unsigned long long n = std::strtoull(val, &end, 10);
-    if (end == val || *end != '\0') {
-      std::fprintf(stderr, "%s: --seed must be a number >= 0\n", argv[0]);
-      *usage_error = true;
-      return true;
-    }
-    o->sweep_seed = n;
+    if (const auto n = int_value(0ULL)) o->sweep_seed = *n;
   } else if (!std::strcmp(arg, "--sim-ps")) {
-    const char* val = need_value();
-    if (!val) return true;
-    char* end = nullptr;
-    const long n = std::strtol(val, &end, 10);
-    if (end == val || *end != '\0' || n < 1) {
-      std::fprintf(stderr, "%s: --sim-ps must be a number >= 1\n", argv[0]);
-      *usage_error = true;
-      return true;
-    }
-    o->sweep_sim_ps = n;
+    if (const auto n = int_value(1L)) o->sweep_sim_ps = *n;
   } else if (!std::strcmp(arg, "--no-faults")) {
     o->sweep_no_faults = true;
   } else {
@@ -986,11 +898,12 @@ std::function<void(std::size_t)> crash_injection_hook(std::size_t shard) {
   const std::string val = env;
   const std::size_t colon = val.find(':');
   if (colon == std::string::npos || colon == 0) return {};
-  const std::size_t after =
-      static_cast<std::size_t>(std::atoll(val.c_str()));
+  const std::optional<std::size_t> after =
+      parse_int<std::size_t>(std::string_view(val).substr(0, colon));
+  if (!after) return {};
   const std::string marker =
       val.substr(colon + 1) + ".shard" + std::to_string(shard);
-  return [after, marker](std::size_t computed) {
+  return [after = *after, marker](std::size_t computed) {
     if (computed < after) return;
     std::error_code ec;
     if (std::filesystem::exists(marker, ec)) return;
@@ -1037,7 +950,7 @@ int cmd_shard(int argc, char** argv) {
     return 1;
   }
   int failed = 0;
-  for (const ShardItem& s : run.items) failed += s.item.ok ? 0 : 1;
+  for (const ShardItem& s : run.items) failed += s.record.ok ? 0 : 1;
   if (!write_output(argv[0], o.out_path, to_shard_json(run))) return 1;
   return failed == 0 ? 0 : 1;
 }
@@ -1149,7 +1062,7 @@ int cmd_drive(int argc, char** argv) {
     if (arg == "--shards") {
       const char* val = need_value();
       if (!val) return 2;
-      shards = std::atoi(val);
+      shards = parse_int<int>(val, 1).value_or(0);
       if (shards < 1) {
         std::fprintf(stderr, "%s drive: --shards must be >= 1\n", argv[0]);
         return 2;
@@ -1622,6 +1535,24 @@ int cmd_cache(int argc, char** argv) {
   return 2;
 }
 
+/// Decode every parsed merge input as one kind; a foreign kind fails on
+/// the odd file with the mismatch named. False after reporting.
+template <class Shard>
+bool decode_shards(const char* argv0, const std::vector<std::string>& paths,
+                   const std::vector<Json>& roots,
+                   Shard (*decode)(const Json&), std::vector<Shard>* out) {
+  for (std::size_t i = 0; i < roots.size(); ++i) {
+    try {
+      out->push_back(decode(roots[i]));
+    } catch (const Error& e) {
+      std::fprintf(stderr, "%s merge: %s: %s\n", argv0, paths[i].c_str(),
+                   e.what());
+      return false;
+    }
+  }
+  return true;
+}
+
 int cmd_merge(int argc, char** argv) {
   const CliOptions o = parse_or_exit(argc, argv, "merge", {"--out"},
                                      /*accept_positional=*/true);
@@ -1630,64 +1561,46 @@ int cmd_merge(int argc, char** argv) {
     print_command_usage(stderr, argv[0], "merge");
     return 2;
   }
-  std::vector<std::string> texts;
+  std::vector<Json> roots;
   for (const std::string& path : o.positional) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      std::fprintf(stderr, "%s merge: cannot read '%s'\n", argv[0],
-                   path.c_str());
+    try {
+      roots.push_back(parse_json(read_file(path), "shard JSON"));
+    } catch (const Error& e) {
+      std::fprintf(stderr, "%s merge: %s: %s\n", argv[0], path.c_str(),
+                   e.what());
       return 1;
     }
-    std::ostringstream text;
-    text << in.rdbuf();
-    texts.push_back(text.str());
   }
 
-  // Kind dispatch off the first file: a complete merge set is either all
-  // batch shards or all sweep shards (a mix fails in the parsers below
-  // with the kind mismatch named).
-  if (is_sweep_shard_json(texts[0])) {
-    std::vector<SweepShard> shards;
-    for (std::size_t i = 0; i < texts.size(); ++i) {
-      try {
-        shards.push_back(parse_sweep_shard_json(texts[i]));
-      } catch (const Error& e) {
-        std::fprintf(stderr, "%s merge: %s: %s\n", argv[0],
-                     o.positional[i].c_str(), e.what());
-        return 1;
-      }
-    }
-    SweepReport report;
-    try {
-      report = merge_sweep_shards(shards);
-    } catch (const Error& e) {
-      std::fprintf(stderr, "%s merge: %s\n", argv[0], e.what());
-      return 1;
-    }
-    // Sweep findings (undetected faults, broken windows) are results,
-    // not failures: success is exit 0, matching `sweep` itself.
-    return write_output(argv[0], o.out_path, to_sweep_json(report)) ? 0 : 1;
-  }
-
-  std::vector<ShardRun> shards;
-  for (std::size_t i = 0; i < texts.size(); ++i) {
-    try {
-      shards.push_back(parse_shard_json(texts[i]));
-    } catch (const Error& e) {
-      std::fprintf(stderr, "%s merge: %s: %s\n", argv[0],
-                   o.positional[i].c_str(), e.what());
-      return 1;
-    }
-  }
-  BatchResult result;
+  // Every file is parsed once; the first file's envelope "kind" picks
+  // the decoder for the whole set.
+  const Json* kind = roots[0].find("kind");
+  const bool sweep = kind && kind->kind == Json::Kind::kString &&
+                     kind->str == "sweep-shard";
   try {
-    result = merge_shards(shards);
+    if (sweep) {
+      std::vector<SweepShard> shards;
+      if (!decode_shards(argv[0], o.positional, roots, sweep_shard_of_json,
+                         &shards))
+        return 1;
+      // Sweep findings (undetected faults, broken windows) are results,
+      // not failures: success is exit 0, matching `sweep` itself.
+      return write_output(argv[0], o.out_path,
+                          to_sweep_json(merge_sweep_shards(shards)))
+                 ? 0
+                 : 1;
+    }
+    std::vector<ShardRun> shards;
+    if (!decode_shards(argv[0], o.positional, roots, shard_run_of_json,
+                       &shards))
+      return 1;
+    const BatchResult result = merge_shards(shards);
+    if (!write_output(argv[0], o.out_path, to_json(result))) return 1;
+    return result.failed_count == 0 ? 0 : 1;
   } catch (const Error& e) {
     std::fprintf(stderr, "%s merge: %s\n", argv[0], e.what());
     return 1;
   }
-  if (!write_output(argv[0], o.out_path, to_json(result))) return 1;
-  return result.failed_count == 0 ? 0 : 1;
 }
 
 int cmd_list(int argc, char** argv) {
