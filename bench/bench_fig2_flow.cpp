@@ -7,6 +7,9 @@
 // largest built-in spec, then times the whole CSR hot path —
 // build + verify (analysis) + reduce — and emits a machine-readable
 // `BENCH_JSON:` line so the perf trajectory can be diffed across PRs.
+// Every parallel pass is timed at 1 worker and at the machine's width
+// (WorkPool::effective_threads(0)); the `_tN_us` keys hold the wide run
+// and `threads` says how wide it was.
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -25,6 +28,7 @@
 #include "stg/parse.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
+#include "util/workpool.hpp"
 
 using namespace rtcad;
 
@@ -99,6 +103,7 @@ double best_of_ms(int reps, const std::function<void()>& fn) {
 
 int main() {
   std::puts("=== Figure 2: RT synthesis flow, per-stage report ===\n");
+  const int wide = WorkPool::effective_threads(0);
 
   struct Case {
     const char* name;
@@ -174,34 +179,35 @@ int main() {
     // replica does reachability only, so the comparison favors the seed.
   }
 
-  // --- CSC candidate search: sequential vs 8-way candidate evaluation -----
-  // The third parallel subsystem. solve_csc rebuilds a full state graph per
-  // trigger pair; with candidate-level workers the search must stay
-  // byte-identical (same inserted signal, same log) while the wall clock
-  // drops on multicore machines.
-  double csc_ms = 0, csc_t8_ms = 0;
+  // --- CSC candidate search: sequential vs wide candidate evaluation ------
+  // solve_csc rebuilds a full state graph per trigger pair; with
+  // candidate-level workers the search must stay byte-identical (same
+  // inserted signal, same log) while the wall clock drops on multicore
+  // machines.
+  double csc_ms = 0, csc_wide_ms = 0;
   std::string csc_spec_name;
   {
     const Stg spec = vme_stg();  // classic CSC benchmark: a real search
     csc_spec_name = spec.name();
     EncodeOptions e1;
-    EncodeOptions e8;
-    e8.threads = 8;
-    EncodeResult r1, r8;
+    EncodeOptions ew;
+    ew.threads = wide;
+    EncodeResult r1, rw;
     csc_ms = best_of_ms(3, [&] { r1 = solve_csc(spec, e1); });
-    csc_t8_ms = best_of_ms(3, [&] { r8 = solve_csc(spec, e8); });
+    csc_wide_ms = best_of_ms(3, [&] { rw = solve_csc(spec, ew); });
     int evaluated = 0;
     for (const EncodeRoundStats& r : r1.rounds) evaluated += r.candidates;
     std::printf(
         "\nCSC candidate search, %s (%d candidates evaluated, %d signal(s) "
         "inserted):\n"
-        "  search (1 thread):  %8.2f ms\n"
-        "  search (8 threads): %8.2f ms (%.2fx, identical result)\n",
-        spec.name().c_str(), evaluated, r1.signals_added, csc_ms, csc_t8_ms,
-        csc_ms / csc_t8_ms);
-    if (r1.solved != r8.solved || r1.signals_added != r8.signals_added ||
-        write_stg(r1.stg) != write_stg(r8.stg) || r1.log != r8.log) {
-      std::printf("CSC search result differs between 1 and 8 threads\n");
+        "  search (1 thread):   %8.2f ms\n"
+        "  search (%d threads): %8.2f ms (%.2fx, identical result)\n",
+        spec.name().c_str(), evaluated, r1.signals_added, csc_ms, wide,
+        csc_wide_ms, csc_ms / csc_wide_ms);
+    if (r1.solved != rw.solved || r1.signals_added != rw.signals_added ||
+        write_stg(r1.stg) != write_stg(rw.stg) || r1.log != rw.log) {
+      std::printf("CSC search result differs between 1 and %d threads\n",
+                  wide);
       all_ok = false;
     }
   }
@@ -219,14 +225,6 @@ int main() {
     StateGraph sg = StateGraph::build(big, unlimited);
     const double build_ms =
         best_of_ms(3, [&] { sg = StateGraph::build(big, unlimited); });
-    // Level-synchronous parallel build at 8 workers: byte-identical graph,
-    // timed against the sequential loop. The BENCH_JSON keys keep the
-    // sequential time as `build_us` so the cross-PR trajectory stays
-    // comparable; `build_t8_us` tracks the parallel builder.
-    SgOptions par = unlimited;
-    par.threads = 8;
-    const double build_t8_ms =
-        best_of_ms(3, [&] { sg = StateGraph::build(big, par); });
     SgAnalysis verdict;
     const double verify_ms = best_of_ms(3, [&] { verdict = analyze(sg); });
     const auto assumptions = generate_assumptions(sg, gen);
@@ -241,73 +239,58 @@ int main() {
     std::printf(
         "\nfull hot path, pipeline_stg(%d): %d states, %d edges, "
         "%d BFS levels (peak frontier %d)\n"
-        "  build (1 thread):  %8.2f ms\n"
-        "  build (8 threads): %8.2f ms (%.2fx, identical graph)\n"
+        "  build:  %8.2f ms\n"
         "  verify: %8.2f ms (%zu persistency, %zu CSC conflicts)\n"
         "  reduce: %8.2f ms (-> %d states)\n"
         "  total:  %8.2f ms, %lld ns/edge\n",
         stages, sg.num_states(), sg.num_edges(), sg.num_levels(),
-        sg.peak_frontier(), build_ms, build_t8_ms, build_ms / build_t8_ms,
-        verify_ms, verdict.persistency.size(), verdict.csc_conflicts.size(),
+        sg.peak_frontier(), build_ms, verify_ms, verdict.persistency.size(), verdict.csc_conflicts.size(),
         reduce_ms, reduced_states, total_ms, ns_per_edge);
     // One greppable line per run; integer microseconds are locale-proof.
     std::printf(
         "BENCH_JSON: {\"name\": \"pipeline%d\", \"states\": %d, "
-        "\"edges\": %d, \"build_us\": %lld, \"build_t8_us\": %lld, "
+        "\"edges\": %d, \"threads\": %d, \"build_us\": %lld, "
         "\"verify_us\": %lld, \"reduce_us\": %lld, "
         "\"csc_spec\": \"%s\", \"csc_us\": %lld, "
-        "\"csc_t8_us\": %lld, \"ns_per_edge\": %lld}\n",
-        stages, sg.num_states(), sg.num_edges(),
+        "\"csc_tN_us\": %lld, \"ns_per_edge\": %lld}\n",
+        stages, sg.num_states(), sg.num_edges(), wide,
         static_cast<long long>(build_ms * 1000 + 0.5),
-        static_cast<long long>(build_t8_ms * 1000 + 0.5),
         static_cast<long long>(verify_ms * 1000 + 0.5),
         static_cast<long long>(reduce_ms * 1000 + 0.5), csc_spec_name.c_str(),
         static_cast<long long>(csc_ms * 1000 + 0.5),
-        static_cast<long long>(csc_t8_ms * 1000 + 0.5), ns_per_edge);
+        static_cast<long long>(csc_wide_ms * 1000 + 0.5), ns_per_edge);
     if (reduced_states <= 0 || reduced_states > sg.num_states()) {
       std::printf("reduce produced an implausible state count\n");
       all_ok = false;
     }
   }
 
-  // --- past the 1M-state line: arena build + parallel post-exploration ----
-  // pipeline_stg(19) has 2^20 states. One build each at 1 and 8 workers
-  // (single rep — the graph dominates the bench's runtime), then the two
-  // post-exploration passes re-timed in isolation at both widths, with the
-  // t8 results structurally compared against the t1 graph. The memory
-  // gauge (arena + CSR bytes, plus OS max-RSS) rides in the same
+  // --- past the 1M-state line: arena build + post-exploration passes ------
+  // pipeline_stg(19) has 2^20 states. One build (single rep — the graph
+  // dominates the bench's runtime), then the two post-exploration passes
+  // re-timed in isolation at 1 worker and at the machine's width, with the
+  // wide results structurally compared against the 1-worker graph. The
+  // memory gauge (arena + CSR bytes, plus OS max-RSS) rides in the same
   // BENCH_JSON line.
   {
     const int stages = 19;
     const Stg big = pipeline_stg(stages);
     SgOptions o1;
     o1.max_states = std::size_t{1} << 22;
-    SgOptions o8 = o1;
-    o8.threads = 8;
 
     StateGraph sg = StateGraph::build(big, o1);
     const double build_ms =
         best_of_ms(1, [&] { sg = StateGraph::build(big, o1); });
-    double build_t8_ms = 0;
-    {
-      StateGraph sg8 = StateGraph::build(big, o8);
-      build_t8_ms = best_of_ms(1, [&] { sg8 = StateGraph::build(big, o8); });
-      if (!identical_graphs(sg, sg8)) {
-        std::printf("pipeline%d: parallel build differs from sequential\n",
-                    stages);
-        all_ok = false;
-      }
-    }
     const double transpose_ms =
         best_of_ms(2, [&] { sg.rebuild_reverse_csr(1); });
     const double excite_ms =
         best_of_ms(2, [&] { sg.recompute_excitation(1); });
-    StateGraph sg_t8 = sg;
-    const double transpose_t8_ms =
-        best_of_ms(2, [&] { sg_t8.rebuild_reverse_csr(8); });
-    const double excite_t8_ms =
-        best_of_ms(2, [&] { sg_t8.recompute_excitation(8); });
-    if (!identical_graphs(sg, sg_t8)) {
+    StateGraph sg_wide = sg;
+    const double transpose_wide_ms =
+        best_of_ms(2, [&] { sg_wide.rebuild_reverse_csr(wide); });
+    const double excite_wide_ms =
+        best_of_ms(2, [&] { sg_wide.recompute_excitation(wide); });
+    if (!identical_graphs(sg, sg_wide)) {
       std::printf("pipeline%d: parallel passes differ from sequential\n",
                   stages);
       all_ok = false;
@@ -317,26 +300,25 @@ int main() {
     const long long rss = max_rss_bytes();
     std::printf(
         "\nbig graph, pipeline_stg(%d): %d states, %d edges\n"
-        "  build     (1 thread / 8 threads): %8.2f / %8.2f ms\n"
-        "  transpose (1 thread / 8 threads): %8.2f / %8.2f ms\n"
-        "  excite    (1 thread / 8 threads): %8.2f / %8.2f ms\n"
+        "  build: %8.2f ms\n"
+        "  transpose (1 thread / %d threads): %8.2f / %8.2f ms\n"
+        "  excite    (1 thread / %d threads): %8.2f / %8.2f ms\n"
         "  graph memory: %lld bytes (arena %zu + CSR %zu), max RSS %lld\n",
-        stages, sg.num_states(), sg.num_edges(), build_ms, build_t8_ms,
-        transpose_ms, transpose_t8_ms, excite_ms, excite_t8_ms, peak_mem,
+        stages, sg.num_states(), sg.num_edges(), build_ms, wide, transpose_ms,
+        transpose_wide_ms, wide, excite_ms, excite_wide_ms, peak_mem,
         sg.arena_bytes(), sg.csr_bytes(), rss);
     std::printf(
         "BENCH_JSON: {\"name\": \"pipeline%d\", \"states\": %d, "
-        "\"edges\": %d, \"build_us\": %lld, \"build_t8_us\": %lld, "
-        "\"transpose_us\": %lld, \"transpose_t8_us\": %lld, "
-        "\"excite_us\": %lld, \"excite_t8_us\": %lld, "
+        "\"edges\": %d, \"threads\": %d, \"build_us\": %lld, "
+        "\"transpose_us\": %lld, \"transpose_tN_us\": %lld, "
+        "\"excite_us\": %lld, \"excite_tN_us\": %lld, "
         "\"peak_mem_bytes\": %lld, \"max_rss_bytes\": %lld}\n",
-        stages, sg.num_states(), sg.num_edges(),
+        stages, sg.num_states(), sg.num_edges(), wide,
         static_cast<long long>(build_ms * 1000 + 0.5),
-        static_cast<long long>(build_t8_ms * 1000 + 0.5),
         static_cast<long long>(transpose_ms * 1000 + 0.5),
-        static_cast<long long>(transpose_t8_ms * 1000 + 0.5),
+        static_cast<long long>(transpose_wide_ms * 1000 + 0.5),
         static_cast<long long>(excite_ms * 1000 + 0.5),
-        static_cast<long long>(excite_t8_ms * 1000 + 0.5), peak_mem, rss);
+        static_cast<long long>(excite_wide_ms * 1000 + 0.5), peak_mem, rss);
   }
 
   std::printf("\nshape check: %s\n", all_ok ? "PASS" : "FAIL");

@@ -16,18 +16,17 @@
 //
 // Thread-budget composition: three independent, individually deterministic
 // levels share the machine — corpus-level workers (BatchOptions::threads,
-// this engine), graph-level workers inside each state-graph build
-// (FlowOptions::sg.threads), and candidate-level workers inside the CSC
-// search and the ring-environment assumption rounds
-// (FlowOptions::encode.threads / rt.generate.threads). Total concurrency
-// is the product, so drivers split the core budget: many small specs want
-// the budget at corpus level, one huge spec wants it at graph/candidate
-// level. The CSC solver itself guards the worst nesting (candidate workers
-// force graph-level builds sequential), and because every level is
-// deterministic, any split yields byte-identical JSON. The single
-// arbitration point for all three levels is FlowContext::budget
-// (flow/context.hpp); the BatchOptions overload below is the
-// inherit-everything compatibility path.
+// this engine), graph-level workers for the excitation sweep of each
+// state-graph build (FlowOptions::sg.threads), and candidate-level workers
+// inside the CSC search and the ring-environment assumption rounds
+// (FlowOptions::encode.threads / rt.generate.threads). Total concurrency is
+// the product, so drivers split the core budget: many small specs want the
+// budget at corpus level, one huge spec wants it at graph/candidate level.
+// The CSC solver itself guards the worst nesting (candidate workers force
+// graph-level builds sequential), and because every level is deterministic,
+// any split yields byte-identical JSON. The single arbitration point for all
+// three levels is FlowContext::budget (flow/context.hpp); the BatchOptions
+// overload below is the inherit-everything compatibility path.
 #pragma once
 
 #include <cstddef>

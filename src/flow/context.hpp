@@ -7,13 +7,13 @@
 //
 //  1. The three-level thread budget. The repo has three independent,
 //     individually deterministic levels of parallelism — corpus (batch
-//     items), graph (level-synchronous BFS inside one state-graph build),
-//     candidate (CSC trigger pairs / ring-environment sweeps). Before
-//     this context existed the knobs were scattered across
-//     BatchOptions::threads, SgOptions::threads, EncodeOptions::threads
-//     and GenerateOptions::threads; ThreadBudget is the single place a
-//     driver splits the machine, and the pipeline applies it to every
-//     stage consistently (see the arbitration rule on ThreadBudget).
+//     items), graph (the excitation sweep of one state-graph build; the BFS
+//     itself is sequential), candidate (CSC trigger pairs / ring-environment
+//     sweeps). Before this context existed the knobs were scattered across
+//     BatchOptions::threads, SgOptions::threads, EncodeOptions::threads and
+//     GenerateOptions::threads; ThreadBudget is the single place a driver
+//     splits the machine, and the pipeline applies it to every stage
+//     consistently (see the arbitration rule on ThreadBudget).
 //
 //  2. The cancellation token, threaded into every stage and checked at
 //     BFS-round / CSC-round granularity (see util/cancel.hpp).
@@ -46,7 +46,7 @@ class MetricsRegistry;  // flow/metrics.hpp
 /// every level, as before.
 struct ThreadBudget {
   int corpus = 0;     ///< batch items in flight (0 = hardware concurrency)
-  int graph = -1;     ///< workers inside one state-graph build
+  int graph = -1;     ///< excitation-sweep workers in a state-graph build
   int candidate = -1; ///< workers in the CSC search / assumption rounds
 
   /// Resolve one level against the scattered option it governs.

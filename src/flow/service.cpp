@@ -120,11 +120,16 @@ struct FlowService::Impl {
     std::string line;
     const std::string banner = strprintf("rtflow-serve %d", kServeProtocol);
 
+    // A line past kMaxLineBytes fails whichever read_line met it; the
+    // answer then names the limit, not the read that tripped it.
     const auto protocol_error = [&](const std::string& message) {
       bump(&ServeStats::protocol_errors);
       registry.counter("serve.protocol_error_total").add(1);
       send_line(fd, banner);
-      send_line(fd, "error " + message);
+      send_line(fd, "error " + (in.line_too_long()
+                                    ? strprintf("line exceeds %zu bytes",
+                                                kMaxLineBytes)
+                                    : message));
     };
 
     if (!in.read_line(&line) || line != banner) {

@@ -298,7 +298,11 @@ bool SocketReader::fill() {
 
 bool SocketReader::read_line(std::string* line) {
   for (;;) {
-    auto nl = buf_.find('\n', scan_);
+    const auto nl = buf_.find('\n', scan_);
+    if ((nl == std::string::npos ? buf_.size() : nl) > kMaxLineBytes) {
+      line_too_long_ = true;
+      return false;
+    }
     if (nl != std::string::npos) {
       line->assign(buf_, 0, nl);
       buf_.erase(0, nl + 1);

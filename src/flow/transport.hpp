@@ -138,14 +138,22 @@ bool send_all(int fd, const char* data, std::size_t len);
 /// `line` + '\n' via send_all.
 bool send_line(int fd, const std::string& line);
 
+/// Longest line (without its newline) SocketReader::read_line accepts.
+/// Every protocol header, verb and status line is short, and spec and
+/// record payloads are length-framed, so the bound only stops a peer that
+/// never sends a newline from growing the buffer without limit.
+constexpr std::size_t kMaxLineBytes = std::size_t{64} * 1024;
+
 /// Buffered reader over a connected socket: LF-terminated lines plus
 /// exact-count raw reads (for framed spec/record payloads).
 class SocketReader {
  public:
   explicit SocketReader(int fd) : fd_(fd) {}
 
-  /// Next line without its newline; false on EOF/error before a newline.
+  /// Next line without its newline; false on EOF/error before a newline,
+  /// or once the line outgrows kMaxLineBytes (then line_too_long() holds).
   bool read_line(std::string* line);
+  bool line_too_long() const { return line_too_long_; }
 
   /// Exactly `n` raw bytes; false on early EOF.
   bool read_exact(std::string* out, std::size_t n);
@@ -156,6 +164,7 @@ class SocketReader {
   int fd_;
   std::string buf_;
   std::size_t scan_ = 0;
+  bool line_too_long_ = false;
 };
 
 }  // namespace rtcad

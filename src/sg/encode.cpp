@@ -76,10 +76,10 @@ EncodeResult solve_csc(const Stg& spec, const EncodeOptions& opts) {
   WorkPool pool(WorkPool::effective_threads(opts.threads));
   // Candidate graph builds are always sequential: with candidate-level
   // workers the core budget is already spent (nesting the graph-level
-  // builder would oversubscribe), and without them the candidate graphs
-  // are far too small to amortize a per-build worker pool — the churn of
-  // spawning one per trigger pair would dominate the search. Only the
-  // per-round build of the accepted spec below keeps the caller's
+  // excitation sweep would oversubscribe), and without them the candidate
+  // graphs are far too small to amortize a per-build worker pool — the
+  // churn of spawning one per trigger pair would dominate the search. Only
+  // the per-round build of the accepted spec below keeps the caller's
   // graph-level setting.
   SgOptions candidate_sg = opts.sg;
   candidate_sg.threads = 1;

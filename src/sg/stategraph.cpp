@@ -1,29 +1,12 @@
 #include "sg/stategraph.hpp"
 
-#include <atomic>
 #include <cstddef>
 #include <cstring>
-#include <deque>
-#include <limits>
-#include <mutex>
-#include <optional>
 #include <utility>
 
 #include "util/workpool.hpp"
 
 namespace rtcad {
-
-/// One lazily-spawned WorkPool per build, shared by the parallel
-/// exploration and the post-exploration passes (transpose, excitation):
-/// narrow graphs never pay the thread spawn, wide ones pay it once.
-struct StateGraph::PoolHandle {
-  int threads = 1;
-  std::optional<WorkPool> pool;
-  WorkPool& get() {
-    if (!pool) pool.emplace(threads);
-    return *pool;
-  }
-};
 
 namespace {
 
@@ -89,9 +72,7 @@ class VisitedTable {
 };
 
 // Apply the initial-value constraint of firing labelled transition `t` at
-// switching parity `par`, and return the successor parity. Shared verbatim
-// by the sequential loop and the parallel merge so the two paths throw the
-// same error for the same edge.
+// switching parity `par`, and return the successor parity.
 std::uint64_t apply_edge_parity(const Stg& stg, int t, std::uint64_t par,
                                 std::vector<signed char>* v0) {
   const auto& label = stg.transition(t).label;
@@ -111,159 +92,8 @@ std::uint64_t apply_edge_parity(const Stg& stg, int t, std::uint64_t par,
   return par ^ (std::uint64_t{1} << label->signal);
 }
 
-// ---- parallel exploration ------------------------------------------------
-//
-// Successor reference recorded by a worker during one level-synchronous
-// round. Non-negative values are final state ids (states discovered in
-// earlier rounds, or id 0). kFireErrorRef marks an edge whose fire_into
-// threw (the message rides in ChunkOut::fire_errors and is rethrown by the
-// merge at this edge's deterministic position). Any other negative value is
-// a pending discovery of this round, encoded as ~((worker << 32) | index)
-// into that worker's pending deque.
-using Ref = std::int64_t;
-constexpr Ref kFireErrorRef = std::numeric_limits<Ref>::min();
-constexpr Ref kEmptyRef = std::numeric_limits<Ref>::max();
-
-Ref encode_pending(int worker, std::size_t index) {
-  return ~((static_cast<Ref>(worker) << 32) | static_cast<Ref>(index));
-}
-int pending_worker(Ref r) { return static_cast<int>((~r) >> 32); }
-std::size_t pending_index(Ref r) {
-  return static_cast<std::size_t>((~r) & 0xffffffff);
-}
-
-/// A marking discovered during the current round, parked until the merge
-/// assigns its deterministic id (and copies the bytes into the arena).
-/// Lives in a per-worker std::deque so the Marking's address stays stable
-/// while other workers compare against it through the visited-table slot
-/// pointer.
-struct PendingState {
-  Marking marking;
-  std::uint64_t hash = 0;
-  int final_id = -1;  ///< assigned by the merge step
-};
-
-// Concurrent visited table for the parallel builder: the open-addressed
-// marking-hash layout of VisitedTable, striped 64 ways by the top hash bits
-// with one mutex per stripe (a marking always hashes to the same stripe, so
-// one lock covers lookup, insert, and the publication of the pending
-// marking bytes). Slots hold (hash, ref): probing compares the cached hash
-// first and touches marking bytes only on a hash hit — final refs resolve
-// through the shared MarkingArena (its rows are stable during a round; the
-// appends happen in the single-threaded merge between rounds), pending refs
-// through the stable slot pointer into the owning worker's deque.
-class StripedVisitedTable {
- public:
-  explicit StripedVisitedTable(const MarkingArena* arena) : arena_(arena) {
-    for (Stripe& st : stripes_) {
-      st.slots.assign(kInitialSlots, Slot{});
-      st.mask = kInitialSlots - 1;
-    }
-  }
-
-  /// Pre-exploration insert of the initial state (no concurrency yet).
-  void seed(std::uint64_t h, int id) {
-    Stripe& st = stripe_of(h);
-    std::size_t i = h & st.mask;
-    while (st.slots[i].ref != kEmptyRef) i = (i + 1) & st.mask;
-    st.slots[i] = Slot{h, id, nullptr};
-    ++st.size;
-  }
-
-  /// Return the resident ref for `next`, or copy it into `pending` (owned
-  /// by `worker`) and return the fresh pending ref.
-  Ref find_or_insert(const Marking& next, std::uint64_t h, int worker,
-                     std::deque<PendingState>* pending) {
-    Stripe& st = stripe_of(h);
-    std::lock_guard<std::mutex> lock(st.mu);
-    if ((st.size + 1) * 4 > st.slots.size() * 3) rehash(&st);
-    std::size_t i = h & st.mask;
-    while (st.slots[i].ref != kEmptyRef) {
-      if (st.slots[i].hash == h &&
-          std::memcmp(slot_marking(st.slots[i]), next.data(), next.size()) ==
-              0)
-        return st.slots[i].ref;
-      i = (i + 1) & st.mask;
-    }
-    pending->push_back(PendingState{next, h, -1});
-    const Ref ref = encode_pending(worker, pending->size() - 1);
-    st.slots[i] = Slot{h, ref, &pending->back().marking};
-    ++st.size;
-    return ref;
-  }
-
-  /// Merge step (single-threaded, between rounds): swap a pending ref for
-  /// its final id so later rounds resolve through the arena.
-  void finalize(const PendingState& p, Ref pending_ref, int final_id) {
-    Stripe& st = stripe_of(p.hash);
-    std::size_t i = p.hash & st.mask;
-    while (st.slots[i].ref != pending_ref) {
-      RTCAD_ASSERT(st.slots[i].ref != kEmptyRef);
-      i = (i + 1) & st.mask;
-    }
-    st.slots[i].ref = final_id;
-    st.slots[i].marking = nullptr;
-  }
-
- private:
-  struct Slot {
-    std::uint64_t hash = 0;
-    Ref ref = kEmptyRef;
-    const Marking* marking = nullptr;  ///< pending refs only
-  };
-  struct Stripe {
-    std::mutex mu;
-    std::vector<Slot> slots;
-    std::size_t mask = 0;
-    std::size_t size = 0;
-  };
-  static constexpr int kStripeBits = 6;
-  static constexpr std::size_t kInitialSlots = 64;
-
-  Stripe& stripe_of(std::uint64_t h) {
-    return stripes_[h >> (64 - kStripeBits)];
-  }
-  const std::uint8_t* slot_marking(const Slot& s) const {
-    return s.ref >= 0 ? arena_->row(static_cast<std::uint32_t>(s.ref))
-                      : s.marking->data();
-  }
-  void rehash(Stripe* st) {
-    std::vector<Slot> old = std::move(st->slots);
-    st->slots.assign(old.size() * 2, Slot{});
-    st->mask = st->slots.size() - 1;
-    for (const Slot& s : old) {
-      if (s.ref == kEmptyRef) continue;
-      std::size_t i = s.hash & st->mask;
-      while (st->slots[i].ref != kEmptyRef) i = (i + 1) & st->mask;
-      st->slots[i] = s;
-    }
-  }
-
-  const MarkingArena* arena_;
-  Stripe stripes_[std::size_t{1} << kStripeBits];
-};
-
-/// Everything one worker records while expanding one contiguous frontier
-/// chunk. Chunks are contiguous id ranges and the merge concatenates them
-/// in chunk order, so the concatenation enumerates the level's edges in
-/// exactly the (parent-id, transition-index) order the sequential loop
-/// fires them in.
-struct ChunkOut {
-  std::vector<int> degree;  ///< out-degree per state of the chunk, in order
-  std::vector<int> trans;   ///< per edge: transition id
-  std::vector<Ref> succ;    ///< per edge: successor ref
-  std::vector<std::string> fire_errors;  ///< messages for kFireErrorRef edges
-
-  void reset() {
-    degree.clear();
-    trans.clear();
-    succ.clear();
-    fire_errors.clear();
-  }
-};
-
-/// Split `[0, n)` into even contiguous chunks for the post-exploration
-/// sweeps (a few per worker so a skewed chunk cannot straggle the round).
+/// Split `[0, n)` into even contiguous chunks for the parallel excitation
+/// sweep (a few per worker so a skewed chunk cannot straggle the sweep).
 struct ChunkPlan {
   std::size_t n = 0;
   std::size_t num_chunks = 1;
@@ -293,18 +123,10 @@ StateGraph StateGraph::build(const Stg& stg, const SgOptions& opts) {
   // and collecting constraints on the initial values v0. State ids are
   // assigned in BFS discovery order and the frontier is consumed in id
   // order, so the out-edges of each state are emitted consecutively — the
-  // flat CSR arrays fill in their final order with no sorting pass. The
-  // parallel exploration reproduces this order exactly (its merge assigns
-  // ids in (parent-id, transition-index) order, which *is* BFS discovery
-  // order), so both paths yield byte-identical graphs.
+  // flat CSR arrays fill in their final order with no sorting pass.
   std::vector<std::uint64_t> parity;
   std::vector<signed char> v0(64, -1);  // -1 unknown, else 0/1
-  const int threads = WorkPool::effective_threads(opts.threads);
-  PoolHandle pool{threads, std::nullopt};
-  if (threads <= 1)
-    sg.explore_sequential(opts, &parity, &v0);
-  else
-    sg.explore_parallel(opts, threads, &parity, &v0, &pool);
+  sg.explore(opts, &parity, &v0);
 
   // Signals with an explicitly declared initial value win over inference
   // only when inference produced no constraint.
@@ -319,13 +141,13 @@ StateGraph StateGraph::build(const Stg& stg, const SgOptions& opts) {
     sg.states_[i].code = v0_value ^ parity[i];
 
   sg.build_reverse_csr();
-  sg.compute_excitation(threads, &pool);
+  sg.compute_excitation(WorkPool::effective_threads(opts.threads));
   return sg;
 }
 
-void StateGraph::explore_sequential(const SgOptions& opts,
-                                    std::vector<std::uint64_t>* parity_out,
-                                    std::vector<signed char>* v0_out) {
+void StateGraph::explore(const SgOptions& opts,
+                         std::vector<std::uint64_t>* parity_out,
+                         std::vector<signed char>* v0_out) {
   const Stg& stg = stg_;
   std::vector<std::uint64_t>& parity = *parity_out;
   MarkingArena& arena = *arena_;
@@ -351,10 +173,8 @@ void StateGraph::explore_sequential(const SgOptions& opts,
   // state of the current level has been expanded.
   std::size_t level_begin = 0, level_boundary = 1;
 
-  // Cancellation is checked once per BFS round (here before round 0, then
-  // at each level boundary below) — the same round boundaries the parallel
-  // path checks, so a pre-cancelled token raises the identical error at
-  // any thread count.
+  // Cancellation is checked once per BFS round: here before round 0, then
+  // at each level boundary below.
   if (opts.cancel) opts.cancel->check("state-graph build");
 
   for (int si = 0; si < static_cast<int>(states_.size()); ++si) {
@@ -398,173 +218,6 @@ void StateGraph::explore_sequential(const SgOptions& opts,
   level_sizes_.push_back(static_cast<int>(states_.size() - level_begin));
 }
 
-void StateGraph::explore_parallel(const SgOptions& opts, int threads,
-                                  std::vector<std::uint64_t>* parity_out,
-                                  std::vector<signed char>* v0_out,
-                                  PoolHandle* shared_pool) {
-  const Stg& stg = stg_;
-  std::vector<std::uint64_t>& parity = *parity_out;
-  MarkingArena& arena = *arena_;
-
-  StripedVisitedTable table(&arena);
-  const Marking m0 = stg.initial_marking();
-  states_.push_back(SgState{0, arena.append(m0.data())});
-  parity.push_back(0);
-  table.seed(marking_hash(m0), 0);
-
-  // Per-worker expansion state. The deques hold this round's discoveries;
-  // the merge copies each marking into the arena when it assigns the id.
-  struct WorkerScratch {
-    Marking next;
-    std::vector<int> enabled;
-  };
-  std::vector<WorkerScratch> scratch(static_cast<std::size_t>(threads));
-  std::vector<std::deque<PendingState>> pending(
-      static_cast<std::size_t>(threads));
-
-  // Round state, hoisted so the discovery buffers and the pool job keep
-  // their allocations across BFS rounds (pool.run's lock handoff makes the
-  // per-round writes visible to the workers).
-  std::vector<ChunkOut> chunks;
-  std::size_t level_begin = 0, level_end = 1;
-  std::size_t chunk_size = 0, num_chunks = 0;
-  std::atomic<std::size_t> cursor{0};
-  std::atomic<std::size_t> parked{0};
-
-  // Expansion: workers claim contiguous chunks of the frontier and record
-  // (transition, successor-ref) per edge; all throwing checks are deferred
-  // to the merge so the first error in sequential order wins regardless of
-  // scheduling. fire_into is the one call that can throw here (token-bound
-  // overflow) — its message is parked in the chunk.
-  //
-  // Cap containment: once visited + parked discoveries exceed max_states,
-  // the merge is guaranteed to throw the cap error (or an earlier-in-order
-  // one), so workers stop claiming further chunks instead of parking
-  // markings the error will discard. Claimed chunks always complete, and
-  // the cursor hands indices out in order, so the recorded chunks are a
-  // prefix of frontier order containing every edge up to the sequential
-  // throw point — the raised error stays byte-identical while the
-  // overshoot past the cap stays bounded by the chunks in flight.
-  const std::function<void(int)> expand = [&](int worker) {
-    WorkerScratch& sc = scratch[static_cast<std::size_t>(worker)];
-    std::deque<PendingState>* pend =
-        &pending[static_cast<std::size_t>(worker)];
-    for (;;) {
-      // Bail only once at least one discovery is parked: the merge throws
-      // the cap error at a *pending* ref, so with zero discoveries it must
-      // run (and return normally) exactly like the sequential loop does —
-      // even when max_states is 0 and the initial state already "exceeds"
-      // it.
-      const std::size_t parked_now = parked.load(std::memory_order_relaxed);
-      if (parked_now > 0 && states_.size() + parked_now > opts.max_states)
-        return;
-      const std::size_t c = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (c >= num_chunks) return;
-      ChunkOut& out = chunks[c];
-      const std::size_t begin = level_begin + c * chunk_size;
-      const std::size_t end = std::min(begin + chunk_size, level_end);
-      for (std::size_t s = begin; s < end; ++s) {
-        // Arena rows are stable during a round (appends happen only in the
-        // single-threaded merge), so workers read them in place.
-        const std::uint8_t* marking = arena.row(states_[s].slot);
-        stg.enabled_transitions(marking, &sc.enabled);
-        out.degree.push_back(static_cast<int>(sc.enabled.size()));
-        for (int t : sc.enabled) {
-          out.trans.push_back(t);
-          try {
-            stg.fire_into(marking, t, &sc.next);
-          } catch (const SpecError& e) {
-            out.fire_errors.push_back(e.what());
-            out.succ.push_back(kFireErrorRef);
-            continue;
-          }
-          const std::size_t before = pend->size();
-          out.succ.push_back(table.find_or_insert(
-              sc.next, marking_hash(sc.next), worker, pend));
-          if (pend->size() != before)
-            parked.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    }
-  };
-
-  while (level_begin < level_end) {
-    // Same round granularity (and therefore the same error bytes for a
-    // pre-cancelled token) as the sequential loop's boundary checks.
-    if (opts.cancel) opts.cancel->check("state-graph build");
-    level_sizes_.push_back(static_cast<int>(level_end - level_begin));
-    const std::size_t width = level_end - level_begin;
-    chunk_size = std::max<std::size_t>(
-        32, (width + 4 * static_cast<std::size_t>(threads) - 1) /
-                (4 * static_cast<std::size_t>(threads)));
-    num_chunks = (width + chunk_size - 1) / chunk_size;
-    if (chunks.size() < num_chunks) chunks.resize(num_chunks);
-    for (std::size_t c = 0; c < num_chunks; ++c) chunks[c].reset();
-    cursor.store(0, std::memory_order_relaxed);
-    parked.store(0, std::memory_order_relaxed);
-    if (num_chunks > 1) {
-      shared_pool->get().run(expand);
-    } else {
-      expand(0);
-    }
-
-    // Merge (single-threaded): walk the chunks in frontier order and every
-    // recorded edge in firing order, replaying exactly the per-edge checks
-    // of the sequential loop — v0 constraint, fire error, state cap,
-    // switching-parity agreement — and assigning ids to first-in-order
-    // discoveries. This is where determinism is manufactured: the insert
-    // race decides only who parked the marking, never its id.
-    for (std::size_t c = 0; c < num_chunks; ++c) {
-      ChunkOut& out = chunks[c];
-      const std::size_t begin = level_begin + c * chunk_size;
-      std::size_t ei = 0;
-      for (std::size_t k = 0; k < out.degree.size(); ++k) {
-        out_row_.push_back(static_cast<int>(edge_transition_.size()));
-        const std::uint64_t par = parity[begin + k];
-        for (int j = 0; j < out.degree[k]; ++j, ++ei) {
-          const int t = out.trans[ei];
-          const Ref ref = out.succ[ei];
-          const std::uint64_t next_par =
-              apply_edge_parity(stg, t, par, v0_out);
-          if (ref == kFireErrorRef) throw SpecError(out.fire_errors.front());
-          int succ_id;
-          if (ref >= 0) {
-            succ_id = static_cast<int>(ref);
-            if (parity[succ_id] != next_par)
-              throw SpecError("STG '" + stg.name() +
-                              "' is inconsistent: switching parity differs "
-                              "between paths to the same marking");
-          } else {
-            PendingState& p = pending[static_cast<std::size_t>(
-                pending_worker(ref))][pending_index(ref)];
-            if (p.final_id < 0) {
-              if (states_.size() >= opts.max_states)
-                throw SpecError("state graph of '" + stg.name() +
-                                "' exceeds " +
-                                std::to_string(opts.max_states) + " states");
-              p.final_id = static_cast<int>(states_.size());
-              table.finalize(p, ref, p.final_id);
-              states_.push_back(SgState{0, arena.append(p.marking.data())});
-              parity.push_back(next_par);
-            } else if (parity[p.final_id] != next_par) {
-              throw SpecError("STG '" + stg.name() +
-                              "' is inconsistent: switching parity differs "
-                              "between paths to the same marking");
-            }
-            succ_id = p.final_id;
-          }
-          edge_transition_.push_back(t);
-          edge_successor_.push_back(succ_id);
-        }
-      }
-    }
-    for (auto& pend : pending) pend.clear();
-    level_begin = level_end;
-    level_end = states_.size();
-  }
-  out_row_.push_back(static_cast<int>(edge_transition_.size()));
-}
-
 void StateGraph::build_reverse_csr() {
   const int n = num_states();
   const int m = num_edges();
@@ -587,8 +240,7 @@ void StateGraph::build_reverse_csr() {
   }
 }
 
-void StateGraph::compute_excitation(int threads, PoolHandle* pool,
-                                    bool force_parallel) {
+void StateGraph::compute_excitation(int threads, bool force_parallel) {
   const int n = num_states();
   excited_rise_.assign(n, 0);
   excited_fall_.assign(n, 0);
@@ -608,11 +260,10 @@ void StateGraph::compute_excitation(int threads, PoolHandle* pool,
       }
     }
   };
-  if (threads > 1 && pool &&
-      (force_parallel || num_edges() >= kMinParallelEdges)) {
-    WorkPool& wp = pool->get();
+  if (threads > 1 && (force_parallel || num_edges() >= kMinParallelEdges)) {
+    WorkPool pool(threads);
     const ChunkPlan chunks = plan_chunks(static_cast<std::size_t>(n), threads);
-    wp.for_each_index(chunks.num_chunks, [&](std::size_t c) {
+    pool.for_each_index(chunks.num_chunks, [&](std::size_t c) {
       direct_sweep(chunks.begin(c), chunks.end(c));
     });
   } else {
@@ -658,9 +309,8 @@ void StateGraph::compute_excitation(int threads, PoolHandle* pool,
 void StateGraph::rebuild_reverse_csr(int /*threads*/) { build_reverse_csr(); }
 
 void StateGraph::recompute_excitation(int threads) {
-  const int t = WorkPool::effective_threads(threads);
-  PoolHandle pool{t, std::nullopt};
-  compute_excitation(t, t > 1 ? &pool : nullptr, /*force_parallel=*/t > 1);
+  compute_excitation(WorkPool::effective_threads(threads),
+                     /*force_parallel=*/true);
 }
 
 StateGraph StateGraph::filtered(
@@ -705,7 +355,7 @@ StateGraph StateGraph::filtered(
     out.old_state_.push_back(old_state_of(old_s));
   }
   out.build_reverse_csr();
-  out.compute_excitation(1, nullptr);
+  out.compute_excitation(1);
   return out;
 }
 

@@ -35,16 +35,16 @@ struct SgOptions {
   /// report runaway specs per item instead of aborting a whole corpus, so
   /// the check must stay cheap and exact.
   std::size_t max_states = std::size_t{1} << 20;
-  /// Worker threads for the level-synchronous parallel exploration; 1 keeps
-  /// the sequential loop, 0 picks hardware concurrency. Any value yields a
-  /// byte-identical graph (ids, CSR order, errors) — see build(). Batch
-  /// drivers split cores between corpus-level parallelism (their own pool)
-  /// and this graph-level setting.
+  /// Worker threads for the excitation sweep that follows exploration (the
+  /// BFS itself is one sequential loop); 1 keeps the sweep sequential, 0
+  /// picks hardware concurrency, and graphs below a size floor sweep
+  /// sequentially at any value. Any value yields a byte-identical graph —
+  /// see build(). Batch drivers split cores between corpus-level
+  /// parallelism (their own pool) and this graph-level setting.
   int threads = 1;
-  /// Optional cooperative cancellation, checked once per BFS round (both
-  /// exploration paths, at the same round boundaries). Not owned; must
-  /// outlive the build. A token cancelled before the build raises a
-  /// byte-identical FlowCancelled at any thread count.
+  /// Optional cooperative cancellation, checked once per BFS round. Not
+  /// owned; must outlive the build. A token cancelled before the build
+  /// raises a byte-identical FlowCancelled at any thread count.
   const CancelToken* cancel = nullptr;
 };
 
@@ -108,14 +108,12 @@ class StateGraph {
   /// emits edges in CSR order directly, so cost is ~O(edges) with no
   /// per-edge heap allocation (see stategraph.cpp).
   ///
-  /// With `opts.threads > 1` exploration is level-synchronous: each BFS
-  /// round partitions the frontier across a persistent worker pool, workers
-  /// expand into per-chunk discovery buffers against a shared striped
-  /// visited table, and a sequential merge assigns ids in
-  /// (parent-id, transition-index) order — the exact order the sequential
-  /// loop discovers states in. State numbering, CSR layout, golden JSON and
-  /// every error (which one fires and its message) are therefore
-  /// byte-identical at any thread count.
+  /// Exploration is one sequential BFS at every `opts.threads` (the
+  /// "Parallelism model" section of docs/ARCHITECTURE.md gives the
+  /// measurements behind that); only the excitation sweep afterwards
+  /// spreads across workers, each state writing its own masks. State
+  /// numbering, CSR layout, golden JSON and every error (which one fires
+  /// and its message) are therefore byte-identical at any thread count.
   static StateGraph build(const Stg& stg, const SgOptions& opts = {});
 
   const Stg& stg() const { return stg_; }
@@ -217,12 +215,11 @@ class StateGraph {
   }
 
   /// BFS level sizes from construction: level_sizes()[d] states at distance
-  /// d from the initial state. Identical for sequential and parallel builds
-  /// (the levels are a property of the graph, not the schedule). Empty for
-  /// graphs produced by filtered().
+  /// d from the initial state (a property of the graph, identical at any
+  /// thread count). Empty for graphs produced by filtered().
   const std::vector<int>& level_sizes() const { return level_sizes_; }
   int num_levels() const { return static_cast<int>(level_sizes_.size()); }
-  /// Widest BFS frontier — the available graph-level parallelism.
+  /// Widest BFS frontier.
   int peak_frontier() const {
     int peak = 0;
     for (int n : level_sizes_) peak = std::max(peak, n);
@@ -282,24 +279,15 @@ class StateGraph {
 
   // Exploration phase of build(): fill states_/out CSR/level_sizes_ and the
   // per-state switching parities; v0 accumulates initial-value constraints.
-  /// One lazily-spawned WorkPool shared by the parallel exploration and the
-  /// post-exploration passes of a single build (defined in stategraph.cpp).
-  struct PoolHandle;
-
-  void explore_sequential(const SgOptions& opts,
-                          std::vector<std::uint64_t>* parity,
-                          std::vector<signed char>* v0);
-  void explore_parallel(const SgOptions& opts, int threads,
-                        std::vector<std::uint64_t>* parity,
-                        std::vector<signed char>* v0, PoolHandle* pool);
+  void explore(const SgOptions& opts, std::vector<std::uint64_t>* parity,
+               std::vector<signed char>* v0);
 
   // The transpose is sequential. With threads > 1 the excitation sweep
-  // chunks across the shared pool; unless forced, inputs below a size
-  // floor fall back to the sequential loop (identical bytes, no
-  // distribution overhead on tiny graphs).
+  // chunks across a WorkPool it makes for the sweep; unless forced, inputs
+  // below a size floor fall back to the sequential loop (identical bytes,
+  // no thread spawn on tiny graphs).
   void build_reverse_csr();
-  void compute_excitation(int threads, PoolHandle* pool,
-                          bool force_parallel = false);
+  void compute_excitation(int threads, bool force_parallel = false);
 };
 
 /// Full structural equality through the public API: states (marking, code),

@@ -1,8 +1,8 @@
 // Persistent fixed-size worker pool, shared by every parallel engine in the
-// repo (corpus-level parallelism in flow/indexed, graph-level parallelism
-// in sg/stategraph). The pool exists so that phase-structured algorithms —
-// a level-synchronous BFS runs one `run()` per frontier round — pay thread
-// creation once per pool, not once per phase.
+// repo (corpus-level parallelism in flow/indexed, candidate rounds in
+// sg/encode, the excitation sweep in sg/stategraph). The pool exists so
+// that phase-structured algorithms — the CSC search runs one pass per
+// candidate round — pay thread creation once per pool, not once per phase.
 //
 // The calling thread is worker 0: a pool of size 1 spawns nothing and
 // `run()` degenerates to a plain call, so sequential and parallel callers

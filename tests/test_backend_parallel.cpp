@@ -2,8 +2,8 @@
 // map, size and verify-netlist — must produce byte-identical netlist
 // dumps and stage lines whether the thread budget runs everything on one
 // worker or spreads graph- and candidate-level work over eight. Run on
-// the two largest checked-in specs (mmu, ram_read_sbuf), the ones whose
-// state graphs actually exercise the parallel builder and CSC search.
+// the two largest checked-in specs (mmu, ram_read_sbuf), the ones with
+// the largest state graphs and a real CSC search.
 //
 // The `_parallel` suffix routes this suite to the ctest "parallel" label,
 // so the ASan/TSan CI jobs cover the back end under both sanitizers.

@@ -14,7 +14,7 @@
 // For every seed, StateGraph::build at 1 vs 8 threads is compared edge
 // for edge (or error byte for byte), and solve_csc plus ring-environment
 // assumption generation are cross-checked the same way, so the
-// deterministic-merge claims rest on ~200 machine-generated specs, not
+// determinism claims rest on ~200 machine-generated specs, not
 // only on the curated ones. Runs under ASan/UBSan and TSan in CI
 // (label: parallel).
 #include <gtest/gtest.h>
@@ -94,7 +94,7 @@ Stg random_stg(std::uint64_t seed) {
   return stg;
 }
 
-// Same structural comparison the curated parallel-builder test uses:
+// Same structural comparison the curated test_sg_parallel.cpp uses:
 // states (marking + code), forward CSR, derived reverse CSR, BFS levels.
 void expect_identical(const StateGraph& a, const StateGraph& b) {
   ASSERT_EQ(a.num_states(), b.num_states());

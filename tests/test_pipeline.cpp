@@ -319,8 +319,8 @@ TEST(FlowPipeline, PastDeadlineCancels) {
 }
 
 TEST(FlowPipeline, CancelReachesTheParallelEngines) {
-  // A pre-cancelled token must produce the same FlowCancelled through the
-  // parallel builder and the candidate search as through the sequential
+  // A pre-cancelled token must produce the same FlowCancelled at 8 graph
+  // threads and through the candidate search as through the sequential
   // paths — the checks sit at the same round boundaries.
   CancelToken token;
   token.request_cancel();

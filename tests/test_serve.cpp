@@ -227,6 +227,41 @@ TEST_F(ServeTest, MalformedNumbersAreContainedErrors) {
   EXPECT_EQ(service_->stats().requests, 0) << "no flow ran";
 }
 
+/// A peer that never sends a newline must not grow the daemon's buffer
+/// without bound: past kMaxLineBytes the daemon answers one error naming
+/// the limit and closes, while the client's write side is still open —
+/// wherever the line sits (banner, verb, submit or batch header).
+TEST_F(ServeTest, OverlongLineIsAContainedError) {
+  start(/*with_cache=*/false);
+  const std::string flood(2 * kMaxLineBytes, 'x');
+  const std::string prefixes[] = {
+      "",
+      "rtflow-serve 1\n",
+      "rtflow-serve 1\nsubmit\nmode si\n",
+      "rtflow-serve 1\nbatch\nitem a\n",
+  };
+  for (const std::string& prefix : prefixes) {
+    SCOPED_TRACE(prefix);
+    const int fd = connect_endpoint(Endpoint::unix_path(socket()));
+    const timeval timeout{5, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof timeout);
+    // The daemon may close before it has read the whole flood, so a failed
+    // send is expected; the answer is already queued for us.
+    const std::string request = prefix + flood;
+    send_all(fd, request.data(), request.size());
+    SocketReader in(fd);
+    std::string banner, line;
+    EXPECT_TRUE(in.read_line(&banner) && in.read_line(&line));
+    EXPECT_EQ(line, "error line exceeds " + std::to_string(kMaxLineBytes) +
+                        " bytes");
+    ::close(fd);
+    EXPECT_EQ(serve_control(socket(), "ping"), "pong");
+  }
+  EXPECT_EQ(service_->stats().protocol_errors,
+            static_cast<long long>(std::size(prefixes)));
+}
+
 /// Kilobytes of virtual memory this process has mapped.
 long long vm_size_kb() {
   std::ifstream status("/proc/self/status");

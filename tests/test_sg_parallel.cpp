@@ -1,10 +1,11 @@
-// Parallel state-graph builder: the level-synchronous exploration must be
-// indistinguishable from the sequential loop — same ids, same CSR layout,
-// same derived structures, same errors — at every thread count. These tests
-// are the enforcement teeth behind CI's golden determinism matrix. The
-// pipeline14 stress case also runs in the clang RTCAD_SANITIZE=ON job
-// (ASan/UBSan: memory errors) and the RTCAD_TSAN=ON job (ThreadSanitizer:
-// data races in the striped visited table and worker pool).
+// State graphs at any graph thread count: exploration is one sequential
+// BFS and only the excitation sweep spreads across workers, so a build must
+// be indistinguishable at every thread count — same ids, same CSR layout,
+// same derived structures, same errors. These tests are the enforcement
+// teeth behind CI's golden determinism matrix. The pipeline14 stress case
+// (above the sweep's size floor) also runs in the clang RTCAD_SANITIZE=ON
+// job (ASan/UBSan: memory errors) and the RTCAD_TSAN=ON job
+// (ThreadSanitizer: data races in the excitation sweep and worker pool).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -76,9 +77,9 @@ TEST(ParallelStateGraph, BuiltinSpecsIdenticalAcrossThreadCounts) {
   }
 }
 
-// Errors must be deterministic too: the parallel merge replays every
-// per-edge check in sequential order, so the same error (and message)
-// fires no matter how the expansion was scheduled.
+// Errors must be deterministic too: the one BFS loop runs every per-edge
+// check in (parent-id, transition-index) order at any thread count, so the
+// same error (and message) fires at 1 and at 8 threads.
 std::string error_of(const Stg& stg, const SgOptions& opts) {
   try {
     StateGraph::build(stg, opts);
@@ -124,10 +125,9 @@ TEST(ParallelStateGraph, StateCapErrorIdenticalAcrossThreads) {
 }
 
 TEST(ParallelStateGraph, ZeroStateCapErrorIdenticalAcrossThreads) {
-  // Degenerate cap: the sequential loop pushes the initial state
-  // unconditionally and throws at the first discovery; the parallel bail
-  // must not skip expansion outright (that would return a malformed graph
-  // instead of the error).
+  // Degenerate cap: the loop pushes the initial state unconditionally and
+  // throws at the first discovery, rather than skipping expansion outright
+  // (that would return a malformed graph instead of the error).
   const Stg stg = celement_stg();
   SgOptions t1;
   t1.threads = 1;
@@ -141,8 +141,8 @@ TEST(ParallelStateGraph, ZeroStateCapErrorIdenticalAcrossThreads) {
 
 TEST(ParallelStateGraph, TokenBoundErrorIdenticalAcrossThreads) {
   // A cycle that pumps a token into a sink place on every lap overflows the
-  // 8-bit token bound after 255 laps; fire_into throws mid-expansion, and
-  // the parallel merge must surface the same error.
+  // 8-bit token bound after 255 laps; fire_into throws mid-expansion, with
+  // the same error at every thread count.
   Stg pump("pump");
   const int a = pump.add_signal("a", SignalKind::kOutput);
   const int rise = pump.add_transition(Edge{a, Polarity::kRise});

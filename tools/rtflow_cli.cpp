@@ -106,8 +106,10 @@ const char* const kBudgetFlags =
     "any mixture, total concurrency is the product of the levels):\n"
     "  --threads N          corpus-level workers (default: hardware\n"
     "                       concurrency; specs run in parallel)\n"
-    "  --sg-threads N       graph-level workers inside each state-graph\n"
-    "                       build (default 1; 0 = hardware concurrency)\n"
+    "  --sg-threads N       graph-level workers for the excitation sweep\n"
+    "                       of each state-graph build (the BFS itself is\n"
+    "                       sequential; default 1; 0 = hardware\n"
+    "                       concurrency)\n"
     "  --csc-threads N      candidate-level workers in the CSC search and\n"
     "                       the ring-environment assumption rounds\n"
     "                       (default 1; 0 = hardware concurrency)\n"
@@ -135,7 +137,8 @@ void print_command_usage(std::FILE* to, const char* argv0,
         "                       is the full Figure 2 flow\n"
         "  --netlist-out FILE   write the final (sized) netlist dump to\n"
         "                       FILE; requires --to map or later\n"
-        "  --sg-threads N       graph-level workers (default 1)\n"
+        "  --sg-threads N       graph-level workers for the excitation\n"
+        "                       sweep (default 1)\n"
         "  --csc-threads N      candidate-level workers (default 1)\n"
         "  --deadline-ms N      cooperative deadline\n"
         "  --cache DIR          consult/populate the result store at DIR\n"
@@ -283,7 +286,7 @@ void print_command_usage(std::FILE* to, const char* argv0,
         "                       after each store (requires --cache; the\n"
         "                       just-written entry is never evicted)\n"
         "  --threads N          max concurrently running submissions\n"
-        "  --sg-threads N       graph-level workers per submission\n"
+        "  --sg-threads N       excitation-sweep workers per submission\n"
         "  --csc-threads N      candidate-level workers per submission\n"
         "  --help               this text\n",
         argv0);
