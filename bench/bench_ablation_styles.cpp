@@ -63,8 +63,8 @@ int main() {
     const ReduceResult red = reduce(sg, as);
     const SgAnalysis an = analyze(red.sg);
     a.add_row({name, strprintf("%d", red.sg.num_states()),
-               strprintf("%zu", an.csc_conflicts.size())});
-    return an.csc_conflicts.size();
+               strprintf("%zu", an.csc_conflict_count)});
+    return an.csc_conflict_count;
   };
   const auto none = row("no assumptions (eager-e only)", {});
   GenerateOptions obi;

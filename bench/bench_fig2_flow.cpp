@@ -244,7 +244,7 @@ int main() {
         "  reduce: %8.2f ms (-> %d states)\n"
         "  total:  %8.2f ms, %lld ns/edge\n",
         stages, sg.num_states(), sg.num_edges(), sg.num_levels(),
-        sg.peak_frontier(), build_ms, verify_ms, verdict.persistency.size(), verdict.csc_conflicts.size(),
+        sg.peak_frontier(), build_ms, verify_ms, verdict.persistency_count, verdict.csc_conflict_count,
         reduce_ms, reduced_states, total_ms, ns_per_edge);
     // One greppable line per run; integer microseconds are locale-proof.
     std::printf(

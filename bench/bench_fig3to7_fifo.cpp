@@ -26,7 +26,7 @@ int main() {
   const SgAnalysis an = analyze(sg);
   std::printf("states=%d, CSC conflicts=%zu (pending-data vs idle: the "
               "conflict timing-aware encoding resolves)\n\n",
-              sg.num_states(), an.csc_conflicts.size());
+              sg.num_states(), an.csc_conflict_count);
   ok &= !an.has_csc();
 
   std::puts("=== Figure 4: speed-independent cell ===");

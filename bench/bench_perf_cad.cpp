@@ -29,7 +29,7 @@ void BM_Analysis(benchmark::State& state) {
   const StateGraph sg =
       StateGraph::build(pipeline_stg(static_cast<int>(state.range(0))));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analyze(sg).csc_conflicts.size());
+    benchmark::DoNotOptimize(analyze(sg).csc_conflict_count);
   }
 }
 BENCHMARK(BM_Analysis)->DenseRange(2, 8, 2);

@@ -122,10 +122,11 @@ void stage_reachability(PipelineState* st, StageTrace* trace) {
   metric(trace, "edges", sg.num_edges());
   metric(trace, "levels", sg.num_levels());
   metric(trace, "peak_frontier", sg.peak_frontier());
+  // Exact totals, not the capped witness lists.
   metric(trace, "persistency_violations",
-         static_cast<long long>(analysis.persistency.size()));
+         static_cast<long long>(analysis.persistency_count));
   metric(trace, "csc_conflicts",
-         static_cast<long long>(analysis.csc_conflicts.size()));
+         static_cast<long long>(analysis.csc_conflict_count));
   // Memory gauge for big graphs: marking-arena bytes plus CSR bytes (both
   // exact graph properties, identical at any thread count). Trace-only —
   // the canonical JSON below must not change.
@@ -138,8 +139,8 @@ void stage_reachability(PipelineState* st, StageTrace* trace) {
          strprintf("%d states, %d edges, %d levels, peak frontier %d, "
                    "%zu persistency violations, %zu CSC conflicts",
                    sg.num_states(), sg.num_edges(), sg.num_levels(),
-                   sg.peak_frontier(), analysis.persistency.size(),
-                   analysis.csc_conflicts.size()));
+                   sg.peak_frontier(), analysis.persistency_count,
+                   analysis.csc_conflict_count));
   if (!analysis.speed_independent())
     throw SpecError("specification is not output-persistent: " +
                     describe(sg, analysis.persistency.front()));

@@ -27,17 +27,27 @@ struct CscConflict {
   std::uint64_t differing_signals = 0;  ///< bitmask of conflicting signals
 };
 
+/// Exact totals beside capped witness lists: `persistency` and
+/// `csc_conflicts` hold at most `max_reported` witnesses each, while
+/// `persistency_count` and `csc_conflict_count` count every violation and
+/// conflict. Anything that reports or decides on a number reads the counts.
 struct SgAnalysis {
+  /// The first violations in state order (then out-edge order).
   std::vector<PersistencyViolation> persistency;
+  /// The first conflicts found; which classes come first is unspecified.
   std::vector<CscConflict> csc_conflicts;
+  std::size_t persistency_count = 0;
+  std::size_t csc_conflict_count = 0;
   /// Number of code classes holding more than one state (USC violations);
   /// benign unless they also appear in csc_conflicts.
   int usc_classes = 0;
 
-  bool speed_independent() const { return persistency.empty(); }
-  bool has_csc() const { return csc_conflicts.empty(); }
+  bool speed_independent() const { return persistency_count == 0; }
+  bool has_csc() const { return csc_conflict_count == 0; }
 };
 
+/// O(states log states + edges): a per-state mask screen for persistency
+/// and one sort by (code, state) for the CSC classes.
 SgAnalysis analyze(const StateGraph& sg, std::size_t max_reported = 1000);
 
 /// Render one conflict for logs/tests.

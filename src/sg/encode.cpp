@@ -30,7 +30,7 @@ void insert_edge_after(Stg& stg, int sig, Polarity pol, int trigger) {
 /// memory stays O(pairs) instead of O(pairs × spec).
 struct CandidateEval {
   bool feasible = false;  ///< consistent, hazard-free, strictly fewer conflicts
-  int remaining_conflicts = 0;
+  std::size_t remaining_conflicts = 0;  ///< exact, not the capped list
   int serialization = 0;  ///< states where only the new signal is enabled
   int states = 0;
 };
@@ -101,7 +101,7 @@ EncodeResult solve_csc(const Stg& spec, const EncodeOptions& opts) {
     }
     if (result.signals_added >= opts.max_state_signals) {
       result.log.push_back("gave up: " +
-                           std::to_string(analysis.csc_conflicts.size()) +
+                           std::to_string(analysis.csc_conflict_count) +
                            " conflicts remain after " +
                            std::to_string(result.signals_added) +
                            " insertions");
@@ -109,9 +109,10 @@ EncodeResult solve_csc(const Stg& spec, const EncodeOptions& opts) {
     }
 
     const std::string name = "csc" + std::to_string(result.signals_added);
-    const int base_conflicts =
-        static_cast<int>(analysis.csc_conflicts.size());
-    const std::size_t base_persistency = analysis.persistency.size();
+    // Exact totals: a witness list saturated at its cap would hide both a
+    // candidate's improvement and the hazards it adds.
+    const std::size_t base_conflicts = analysis.csc_conflict_count;
+    const std::size_t base_persistency = analysis.persistency_count;
 
     // Enumerate the trigger pairs up front, in the order the sequential
     // loop visits them; pair index is the determinism anchor for both the
@@ -138,9 +139,9 @@ EncodeResult solve_csc(const Stg& spec, const EncodeOptions& opts) {
       try {
         const StateGraph csg = StateGraph::build(candidate_stg, candidate_sg);
         const SgAnalysis ca = analyze(csg);
-        if (ca.persistency.size() > base_persistency)
+        if (ca.persistency_count > base_persistency)
           return;  // insertion introduced new hazards: reject
-        ev.remaining_conflicts = static_cast<int>(ca.csc_conflicts.size());
+        ev.remaining_conflicts = ca.csc_conflict_count;
         ev.feasible = ev.remaining_conflicts < base_conflicts;
         if (!ev.feasible) return;  // merge never reads the scores: skip them
         const int new_sig = candidate_stg.num_signals() - 1;

@@ -20,50 +20,68 @@ constexpr int kMinParallelEdges = 1 << 15;
 // carried as a switching-parity word determined by the marking (two paths
 // reaching one marking with different parities is the consistency error, not
 // two distinct states), so the table keys on the marking and the per-state
-// parity array completes the packed key. Slots hold (hash, state id); the
-// marking bytes themselves live once in the graph's MarkingArena (slot ==
-// state id during a build), so probing compares a cached 64-bit hash first
-// and memcmps one arena row only on a hash hit. This replaces the seed's
-// std::unordered_map<Marking, int>, whose node allocation per insert and
-// pointer chase per probe dominated build time on large specs.
+// parity array completes the packed key. A slot is 8 bytes: the high 32 bits
+// of the marking hash as a tag plus the state id; the low bits of the hash
+// pick the home slot. The marking bytes themselves live once in the graph's
+// MarkingArena (slot == state id during a build), so a probe compares the
+// tag first and memcmps one arena row only on a tag hit. Growing the table
+// recomputes each resident's hash from its arena row, walking ids 0..n-1 in
+// arena order. This replaces the seed's std::unordered_map<Marking, int>,
+// whose node allocation per insert and pointer chase per probe dominated
+// build time on large specs.
 class VisitedTable {
  public:
-  VisitedTable() { rehash(kInitialSlots); }
+  VisitedTable() : slots_(kInitialSlots), mask_(kInitialSlots - 1) {}
 
-  /// Look up the marking bytes `m` (with precomputed hash `h`); insert `id`
-  /// if absent. Returns {resident id, inserted}.
+  /// Grow, if needed, so `extra` more inserts fit under the load limit.
+  /// Every resident id must already have its arena row; the explore loop
+  /// calls this once per expansion, before it prefetches home slots, so no
+  /// insert of that expansion moves the table.
+  void reserve(std::size_t extra, const MarkingArena& arena) {
+    std::size_t n = slots_.size();
+    while ((size_ + extra) * 4 > n * 3) n *= 2;
+    if (n == slots_.size()) return;
+    slots_.assign(n, Slot{});
+    mask_ = n - 1;
+    const std::size_t stride = static_cast<std::size_t>(arena.stride());
+    for (std::size_t id = 0; id < size_; ++id) {
+      const std::uint64_t h =
+          marking_hash(arena.row(static_cast<std::uint32_t>(id)), stride);
+      std::size_t i = static_cast<std::size_t>(h) & mask_;
+      while (slots_[i].id >= 0) i = (i + 1) & mask_;
+      slots_[i] = Slot{tag_of(h), static_cast<std::int32_t>(id)};
+    }
+  }
+
+  void prefetch(std::uint64_t h) const {
+    __builtin_prefetch(&slots_[static_cast<std::size_t>(h) & mask_]);
+  }
+
+  /// Look up the marking bytes `m` (with hash `h`); insert `id` if absent.
+  /// Room must have been reserved. Returns {resident id, inserted}.
   std::pair<int, bool> find_or_insert(const std::uint8_t* m, std::uint64_t h,
                                       int id, const MarkingArena& arena) {
-    if ((size_ + 1) * 4 > slots_.size() * 3) rehash(slots_.size() * 2);
+    const std::uint32_t tag = tag_of(h);
     std::size_t i = static_cast<std::size_t>(h) & mask_;
     while (slots_[i].id >= 0) {
-      if (slots_[i].hash == h &&
+      if (slots_[i].tag == tag &&
           arena.row_equals(static_cast<std::uint32_t>(slots_[i].id), m))
         return {slots_[i].id, false};
       i = (i + 1) & mask_;
     }
-    slots_[i] = Slot{h, id};
+    slots_[i] = Slot{tag, id};
     ++size_;
     return {id, true};
   }
 
  private:
   struct Slot {
-    std::uint64_t hash = 0;
-    int id = -1;
+    std::uint32_t tag = 0;
+    std::int32_t id = -1;
   };
   static constexpr std::size_t kInitialSlots = 1024;
-
-  void rehash(std::size_t n) {
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(n, Slot{});
-    mask_ = n - 1;
-    for (const Slot& s : old) {
-      if (s.id < 0) continue;
-      std::size_t i = static_cast<std::size_t>(s.hash) & mask_;
-      while (slots_[i].id >= 0) i = (i + 1) & mask_;
-      slots_[i] = s;
-    }
+  static std::uint32_t tag_of(std::uint64_t h) {
+    return static_cast<std::uint32_t>(h >> 32);
   }
 
   std::vector<Slot> slots_;
@@ -162,11 +180,15 @@ void StateGraph::explore(const SgOptions& opts,
     RTCAD_ASSERT(seeded.second);
   }
 
-  // Scratch buffers reused across the whole exploration: firing target,
-  // enabled-transition list and the current marking are the per-edge
-  // allocations this loop must not make.
-  Marking marking, next;
+  // Scratch buffers reused across the whole exploration, so the loop makes
+  // no per-edge allocation: the enabled-transition list and, per enabled
+  // transition, its fired successor row, that row's hash and the place (if
+  // any) that would pass the token bound.
+  const std::size_t stride = static_cast<std::size_t>(arena.stride());
   std::vector<int> enabled;
+  std::vector<std::uint8_t> fired;
+  std::vector<std::uint64_t> hashes;
+  std::vector<int> overflow;
 
   // BFS level tracking: ids are assigned in discovery order, so each level
   // is a contiguous id range and crossing `level_boundary` means every
@@ -185,25 +207,45 @@ void StateGraph::explore(const SgOptions& opts,
       if (opts.cancel) opts.cancel->check("state-graph build");
     }
     out_row_.push_back(static_cast<int>(edge_transition_.size()));
-    // Copy into scratch: the arena may reallocate while appending
-    // successors.
-    const std::uint8_t* row = arena.row(states_[si].slot);
-    marking.assign(row, row + arena.stride());
     const std::uint64_t par = parity[si];
 
-    stg.enabled_transitions(marking, &enabled);
-    for (int t : enabled) {
+    // Fire pass: every successor of this state into scratch, each hashed
+    // and its home slot prefetched, so the probes below overlap their
+    // cache misses. The arena row is read before anything is appended, so
+    // it cannot move under the pass. A token-bound overflow is only
+    // recorded here: raising it early would pre-empt an error an earlier
+    // edge raises in the insert pass.
+    const std::uint8_t* row = arena.row(states_[si].slot);
+    stg.enabled_transitions(row, &enabled);
+    const std::size_t k = enabled.size();
+    fired.resize(k * stride);
+    hashes.resize(k);
+    overflow.resize(k);
+    index.reserve(k, arena);
+    for (std::size_t i = 0; i < k; ++i) {
+      std::uint8_t* next = fired.data() + i * stride;
+      overflow[i] = stg.fire_row(row, enabled[i], next);
+      if (overflow[i] >= 0) continue;
+      hashes[i] = marking_hash(next, stride);
+      index.prefetch(hashes[i]);
+    }
+
+    // Insert pass, in enabled order: the errors, ids and edges come out
+    // exactly as if each edge were fired and inserted on its own.
+    for (std::size_t i = 0; i < k; ++i) {
+      const int t = enabled[i];
       const std::uint64_t next_par = apply_edge_parity(stg, t, par, v0_out);
-      stg.fire_into(marking, t, &next);
+      if (overflow[i] >= 0) stg.throw_token_bound(overflow[i]);
+      const std::uint8_t* next = fired.data() + i * stride;
       const int candidate_id = static_cast<int>(states_.size());
-      const auto insertion = index.find_or_insert(
-          next.data(), marking_hash(next), candidate_id, arena);
+      const auto insertion =
+          index.find_or_insert(next, hashes[i], candidate_id, arena);
       const int succ_id = insertion.first;
       if (insertion.second) {
         if (states_.size() >= opts.max_states)
           throw SpecError("state graph of '" + stg.name() + "' exceeds " +
                           std::to_string(opts.max_states) + " states");
-        states_.push_back(SgState{0, arena.append(next.data())});
+        states_.push_back(SgState{0, arena.append(next)});
         parity.push_back(next_par);
       } else if (parity[succ_id] != next_par) {
         throw SpecError("STG '" + stg.name() +

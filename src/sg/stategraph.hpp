@@ -104,9 +104,11 @@ class StateGraph {
   /// inconsistency, unboundedness, or state overflow. The StateGraph keeps
   /// its own copy of the specification (callers may pass temporaries).
   /// The exploration loop is the flow's hot path: visited markings live in
-  /// an open-addressed table, firing reuses scratch buffers, and the BFS
-  /// emits edges in CSR order directly, so cost is ~O(edges) with no
-  /// per-edge heap allocation (see stategraph.cpp).
+  /// an open-addressed table of 8-byte (tag, id) slots, each expansion
+  /// fires its successors into a scratch buffer and prefetches their slots
+  /// before probing them in order, and the BFS emits edges in CSR order
+  /// directly, so cost is ~O(edges) with no per-edge heap allocation (see
+  /// stategraph.cpp).
   ///
   /// Exploration is one sequential BFS at every `opts.threads` (the
   /// "Parallelism model" section of docs/ARCHITECTURE.md gives the

@@ -1,19 +1,42 @@
 #include "stg/stg.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 namespace rtcad {
 
-std::size_t marking_hash(const std::uint8_t* m, std::size_t n) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= m[i];
-    h *= 1099511628211ull;
+std::uint64_t marking_hash(const std::uint8_t* m, std::size_t n) {
+  // Eight bytes per step: xor the word in, multiply, fold the high half
+  // down so the next multiply carries every bit upward again. The tail is
+  // loaded zero-padded and the length seeds the state.
+  constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ull;
+  std::uint64_t h = 0x243f6a8885a308d3ull ^ n;
+  const auto step = [&](std::uint64_t w) {
+    h = (h ^ w) * kMul;
+    h ^= h >> 32;
+  };
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, m + i, 8);
+    step(w);
   }
-  return static_cast<std::size_t>(h);
+  if (i < n) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, m + i, n - i);
+    step(w);
+  }
+  // splitmix64 finalizer: every output bit depends on every input bit, so
+  // both the low (slot index) and high (tag) halves are usable.
+  h ^= h >> 30;
+  h *= 0xbf58476d1ce4e5b9ull;
+  h ^= h >> 27;
+  h *= 0x94d049bb133111ebull;
+  h ^= h >> 31;
+  return h;
 }
 
-std::size_t marking_hash(const Marking& m) {
+std::uint64_t marking_hash(const Marking& m) {
   return marking_hash(m.data(), m.size());
 }
 
@@ -195,14 +218,24 @@ Marking Stg::fire(const Marking& m, int t) const {
 }
 
 void Stg::fire_into(const std::uint8_t* m, int t, Marking* next) const {
+  next->resize(places_.size());
+  const int over = fire_row(m, t, next->data());
+  if (over >= 0) throw_token_bound(over);
+}
+
+int Stg::fire_row(const std::uint8_t* m, int t, std::uint8_t* next) const {
   RTCAD_EXPECTS(enabled(m, t));
-  next->assign(m, m + places_.size());
-  for (int p : transitions_[t].pre) --(*next)[p];
+  std::copy_n(m, places_.size(), next);
+  for (int p : transitions_[t].pre) --next[p];
   for (int p : transitions_[t].post) {
-    if ((*next)[p] == 255)
-      throw SpecError("place '" + places_[p].name + "' exceeds token bound");
-    ++(*next)[p];
+    if (next[p] == 255) return p;
+    ++next[p];
   }
+  return -1;
+}
+
+void Stg::throw_token_bound(int place) const {
+  throw SpecError("place '" + places_[place].name + "' exceeds token bound");
 }
 
 int Stg::count_edges(int signal, Polarity pol) const {

@@ -20,8 +20,11 @@ namespace rtcad {
 /// Token counts per place, indexed by place id.
 using Marking = std::vector<std::uint8_t>;
 
-std::size_t marking_hash(const std::uint8_t* m, std::size_t n);
-std::size_t marking_hash(const Marking& m);
+/// Hash of a marking row of `n` bytes, read eight bytes at a time. Only
+/// places slots in the reachability visited table: state ids never depend
+/// on it.
+std::uint64_t marking_hash(const std::uint8_t* m, std::size_t n);
+std::uint64_t marking_hash(const Marking& m);
 
 struct StgPlace {
   std::string name;
@@ -117,6 +120,13 @@ class Stg {
   bool enabled(const std::uint8_t* m, int t) const;
   void enabled_transitions(const std::uint8_t* m, std::vector<int>* out) const;
   void fire_into(const std::uint8_t* m, int t, Marking* next) const;
+  /// Non-throwing fire for batched reachability: writes the successor of
+  /// row `m` under `t` into the caller's row `next` (num_places() bytes
+  /// each) and returns -1, or returns the place that would pass the
+  /// 255-token bound (leaving `next` partly written). throw_token_bound
+  /// raises the error fire_into would have raised for that place.
+  int fire_row(const std::uint8_t* m, int t, std::uint8_t* next) const;
+  [[noreturn]] void throw_token_bound(int place) const;
 
   // --- validation --------------------------------------------------------
   /// Structural sanity: every transition connected, every signal used edge-

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "sg/analysis.hpp"
 #include "sg/encode.hpp"
 #include "sg/stategraph.hpp"
@@ -75,6 +81,124 @@ TEST(StateGraph, StateLimitEnforced) {
   SgOptions opts;
   opts.max_states = 4;
   EXPECT_THROW(StateGraph::build(pipeline_stg(4), opts), SpecError);
+}
+
+// Three bounded producer/consumer pairs: producer p_i puts a token into
+// buffer buf_i (capacity i + 2, held as tokens of free_i), consumer c_i
+// takes it. Multi-token places, and 18 places: the marking row is two
+// 8-byte hash words plus a 2-byte tail.
+Stg bounded_buffers() {
+  Stg stg("buffers");
+  for (int i = 0; i < 3; ++i) {
+    const std::string n = std::to_string(i);
+    const int free_slots = stg.add_place("free" + n, i + 2);
+    const int buf = stg.add_place("buf" + n, 0);
+    int edges[2][2];
+    for (int side = 0; side < 2; ++side) {
+      const int sig = stg.add_signal((side ? "c" : "p") + n,
+                                     SignalKind::kOutput);
+      edges[side][0] = stg.add_transition(Edge{sig, Polarity::kRise});
+      edges[side][1] = stg.add_transition(Edge{sig, Polarity::kFall});
+      stg.add_arc_tt(edges[side][0], edges[side][1]);
+      stg.add_arc_tt(edges[side][1], edges[side][0], 1);
+    }
+    stg.add_arc_pt(free_slots, edges[0][0]);
+    stg.add_arc_tp(edges[0][0], buf);
+    stg.add_arc_pt(buf, edges[1][0]);
+    stg.add_arc_tp(edges[1][0], free_slots);
+  }
+  return stg;
+}
+
+TEST(StateGraph, MultiTokenSpecMatchesReferenceExploration) {
+  const Stg stg = bounded_buffers();
+  ASSERT_EQ(stg.num_places() % 8, 2);
+  const StateGraph sg = StateGraph::build(stg);
+
+  // Reference: a plain BFS over an ordered map of owned markings, firing
+  // enabled transitions in id order, tracking switching parity per state.
+  std::map<Marking, int> id_of;
+  std::vector<Marking> markings{stg.initial_marking()};
+  std::vector<std::uint64_t> parity{0};
+  std::vector<std::vector<SgEdge>> out(1);
+  std::vector<int> depth{0};
+  id_of.emplace(markings[0], 0);
+  for (std::size_t s = 0; s < markings.size(); ++s) {
+    for (int t : stg.enabled_transitions(markings[s])) {
+      const Marking next = stg.fire(markings[s], t);
+      auto [it, inserted] = id_of.emplace(next, static_cast<int>(markings.size()));
+      if (inserted) {
+        markings.push_back(next);
+        parity.push_back(parity[s] ^
+                         (std::uint64_t{1} << stg.transition(t).label->signal));
+        out.emplace_back();
+        depth.push_back(depth[s] + 1);
+      }
+      out[s].push_back(SgEdge{t, it->second});
+    }
+  }
+  std::vector<int> levels(depth.back() + 1, 0);
+  for (int d : depth) ++levels[d];
+
+  ASSERT_EQ(sg.num_states(), static_cast<int>(markings.size()));
+  EXPECT_EQ(sg.level_sizes(), levels);
+  for (int s = 0; s < sg.num_states(); ++s) {
+    ASSERT_EQ(sg.marking_copy(s), markings[s]) << "state " << s;
+    EXPECT_EQ(sg.code(s), sg.initial_code() ^ parity[s]) << "state " << s;
+    ASSERT_EQ(sg.out_degree(s), static_cast<int>(out[s].size()));
+    for (int i = 0; i < sg.out_degree(s); ++i) {
+      EXPECT_EQ(sg.out_edges(s)[i].transition, out[s][i].transition);
+      EXPECT_EQ(sg.out_edges(s)[i].state, out[s][i].state);
+    }
+  }
+  // Some place really holds more than one token.
+  bool multi = false;
+  for (const Marking& m : markings)
+    multi |= std::any_of(m.begin(), m.end(), [](int v) { return v > 1; });
+  EXPECT_TRUE(multi);
+  // Any graph-level width yields the same graph.
+  SgOptions wide;
+  wide.threads = 8;
+  EXPECT_TRUE(identical_graphs(sg, StateGraph::build(stg, wide)));
+}
+
+// One expansion of the initial state can raise two errors: a new state
+// past max_states = 1, and a place past the 255-token bound. The edge fired
+// first (lower transition id) decides which one, as if every edge were
+// fired and inserted on its own.
+std::string first_error(bool token_bound_first) {
+  Stg stg("order");
+  const int a = stg.add_signal("a", SignalKind::kOutput);
+  const int b = stg.add_signal("b", SignalKind::kOutput);
+  const auto new_state_edge = [&] {
+    const int t = stg.add_transition(Edge{a, Polarity::kRise});
+    stg.add_arc_pt(stg.add_place("qa", 1), t);
+  };
+  const auto overflow_edge = [&] {
+    const int t = stg.add_transition(Edge{b, Polarity::kRise});
+    stg.add_arc_pt(stg.add_place("qb", 1), t);
+    stg.add_arc_tp(t, stg.add_place("full", 255));
+  };
+  if (token_bound_first) {
+    overflow_edge();
+    new_state_edge();
+  } else {
+    new_state_edge();
+    overflow_edge();
+  }
+  SgOptions opts;
+  opts.max_states = 1;
+  try {
+    StateGraph::build(stg, opts);
+  } catch (const SpecError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(StateGraph, FirstEdgeDecidesBetweenStateCapAndTokenBound) {
+  EXPECT_EQ(first_error(false), "state graph of 'order' exceeds 1 states");
+  EXPECT_EQ(first_error(true), "place 'full' exceeds token bound");
 }
 
 TEST(StateGraph, PipelineGrowth) {

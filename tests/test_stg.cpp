@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
+#include <string>
+
 #include "stg/builders.hpp"
 #include "stg/parse.hpp"
 #include "stg/stg.hpp"
@@ -81,6 +85,36 @@ TEST(Stg, RemoveArc) {
   EXPECT_TRUE(stg.transition(bp).pre.empty());
   stg.remove_arc_tp(ap, p);
   EXPECT_TRUE(stg.place(p).pre.empty());
+}
+
+// marking_hash reads 8-byte words plus a zero-padded tail: at every stride
+// from 1 to 17 equal rows must hash equal, and a change to any byte (tail
+// bytes included) must change the hash.
+TEST(MarkingHash, EveryByteOfEveryStrideCounts) {
+  for (std::size_t n = 1; n <= 17; ++n) {
+    SCOPED_TRACE("stride " + std::to_string(n));
+    Marking row(n);
+    for (std::size_t i = 0; i < n; ++i)
+      row[i] = static_cast<std::uint8_t>(i * 37 + n);
+    const Marking copy = row;
+    const std::uint64_t h = marking_hash(row.data(), n);
+    EXPECT_EQ(h, marking_hash(copy));
+    for (std::size_t i = 0; i < n; ++i) {
+      for (const std::uint8_t flip : {0x01, 0x80, 0xff}) {
+        Marking changed = row;
+        changed[i] ^= flip;
+        EXPECT_NE(marking_hash(changed), h) << "byte " << i;
+      }
+    }
+    // The tail byte alone: all 256 values give distinct hashes.
+    std::set<std::uint64_t> tails;
+    Marking zeros(n, 0);
+    for (int v = 0; v < 256; ++v) {
+      zeros[n - 1] = static_cast<std::uint8_t>(v);
+      tails.insert(marking_hash(zeros));
+    }
+    EXPECT_EQ(tails.size(), 256u);
+  }
 }
 
 TEST(Builders, AllValidate) {
