@@ -72,6 +72,25 @@ void BM_Minimize(benchmark::State& state) {
 }
 BENCHMARK(BM_Minimize)->DenseRange(4, 10, 2);
 
+// Shaped like derive_functions: a few reachable codes (2n OFF, n ON), every
+// unreachable code a don't-care.
+void BM_MinimizeSparseOff(benchmark::State& state) {
+  Rng rng(5);
+  const int nvars = static_cast<int>(state.range(0));
+  TruthTable f(nvars);
+  f.fill_unspecified_with_dc();
+  for (int i = 0; i < 2 * nvars; ++i)
+    f.set_off(static_cast<std::uint32_t>(rng.below(f.size())));
+  for (int i = 0; i < nvars; ++i) {
+    const auto m = static_cast<std::uint32_t>(rng.below(f.size()));
+    if (f.is_dc(m)) f.set_on(m);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(minimize(f).num_literals());
+  }
+}
+BENCHMARK(BM_MinimizeSparseOff)->DenseRange(8, 16, 2);
+
 void BM_FullRtFlow(benchmark::State& state) {
   const Stg spec = fifo_csc_stg();
   FlowOptions opts;

@@ -1,7 +1,10 @@
-// Exact two-level minimization (Quine-McCluskey prime generation followed by
-// unate covering). Sized for asynchronous controller next-state functions:
-// exact primes matter because speed-independent covers must respect
-// monotonicity constraints checked by the synthesizer downstream.
+// Exact two-level minimization: all prime implicants, then unate covering.
+// Primes are generated from the OFF list (the reachable codes where the
+// function is 0), not from the 3^n implicant lattice: next-state functions
+// of asynchronous controllers leave every unreachable code a don't-care, so
+// the OFF list is bounded by the reachable states. Exact primes matter because
+// speed-independent covers must respect monotonicity constraints checked by
+// the synthesizer downstream.
 #pragma once
 
 #include <vector>
@@ -19,7 +22,8 @@ struct MinimizeOptions {
   std::size_t exact_limit = 200000;
 };
 
-/// All prime implicants of (ON ∪ DC).
+/// All prime implicants of (ON ∪ DC), most literals first, then by
+/// (care, value) — the order a level-by-level Quine-McCluskey pass emits.
 std::vector<Cube> prime_implicants(const TruthTable& f);
 
 /// Minimum(ish) SOP cover of f: covers all ON minterms, avoids all OFF

@@ -25,9 +25,8 @@ void TruthTable::set_off(std::uint32_t m) {
 }
 
 void TruthTable::fill_unspecified_with_dc() {
-  for (std::uint32_t m = 0; m < size(); ++m) {
-    if (!on_.test(m)) dc_.set(m);
-  }
+  dc_.set_all();
+  dc_.and_not(on_);
 }
 
 bool TruthTable::is_implemented_by(const Cover& cover) const {

@@ -95,6 +95,14 @@ bool BitVec::intersects(const BitVec& o) const {
   return false;
 }
 
+std::size_t BitVec::intersection_count(const BitVec& o) const {
+  RTCAD_EXPECTS(nbits_ == o.nbits_);
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < words_.size(); ++i)
+    n += static_cast<std::size_t>(std::popcount(words_[i] & o.words_[i]));
+  return n;
+}
+
 std::size_t BitVec::hash() const {
   // FNV-1a over the words; good enough for hash-map keys of state sets.
   std::uint64_t h = 1469598103934665603ull;

@@ -71,6 +71,8 @@ class BitVec {
   /// True if every set bit of this is also set in `o`.
   bool is_subset_of(const BitVec& o) const;
   bool intersects(const BitVec& o) const;
+  /// Number of bits set in both this and `o`.
+  std::size_t intersection_count(const BitVec& o) const;
 
   std::size_t hash() const;
 

@@ -97,6 +97,16 @@ TEST(TruthTable, OnOffDc) {
   EXPECT_TRUE(f.is_off(3));
 }
 
+TEST(TruthTable, FillUnspecifiedWithDcKeepsOnAndSize) {
+  TruthTable f(3);
+  f.set_on(5);
+  f.fill_unspecified_with_dc();
+  EXPECT_TRUE(f.is_on(5));
+  EXPECT_FALSE(f.is_dc(5));
+  EXPECT_EQ(f.dc_count(), 7u);  // no bit past the 8 minterms
+  for (std::uint32_t m = 0; m < f.size(); ++m) EXPECT_FALSE(f.is_off(m));
+}
+
 TEST(Minimize, AndFunction) {
   TruthTable f(2);
   f.set_on(0b11);

@@ -70,6 +70,8 @@ TEST(BitVec, SetOperations) {
   EXPECT_TRUE(i.is_subset_of(a));
   EXPECT_TRUE(i.is_subset_of(b));
   EXPECT_TRUE(a.intersects(b));
+  EXPECT_EQ(a.intersection_count(b), 1u);
+  EXPECT_EQ(u.intersection_count(u), 3u);
   a.and_not(b);
   EXPECT_FALSE(a.test(50));
   EXPECT_TRUE(a.test(1));
